@@ -16,9 +16,7 @@ use detector::system::{Controller, Watchdog};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{
-    cores, link_quality, put_end_to_end, timed_setups, timings, Campaign, Opts, Report,
-};
+use crate::common::{cores, link_quality, put_end_to_end, timings, Campaign, Opts, Report, Setups};
 use crate::layers::{put_event_layers, Spans};
 use crate::meter::{ProbeMeter, TimedPlane};
 use crate::stats::median;
@@ -158,13 +156,15 @@ impl Setting {
 
 /// Runs `dd` in a closed loop for `budget` after a warm-up, one
 /// `run_distributed` call per storm epoch (each call spawns the fleet
-/// and ships the full pinglists).
+/// and ships the full pinglists), with `setups` run between calls and
+/// left out of the phase.
 fn drive(
     dd: &mut DistributedDetector,
     inputs: &mut Inputs,
     tap: &Tap,
     rng: &mut SmallRng,
     budget: Duration,
+    setups: &mut Setups,
 ) -> Result<Campaign, String> {
     let mut from = 0u64;
     let mut chunk = |dd: &mut DistributedDetector, n: u64| -> Result<Vec<WindowResult>, String> {
@@ -182,7 +182,9 @@ fn drive(
     let mut results = Vec::new();
     let t0 = Instant::now();
     let mut next = WARM_WINDOWS;
-    while t0.elapsed() < budget {
+    let measured = |setups: &Setups| t0.elapsed().saturating_sub(setups.spent);
+    while measured(setups) < budget {
+        setups.run_due(measured(setups))?;
         let n = STORM_WINDOWS - next % STORM_WINDOWS;
         results.extend(chunk(dd, n)?);
         next += n;
@@ -190,7 +192,7 @@ fn drive(
     Ok(Campaign {
         results,
         records: tap.take(),
-        elapsed: t0.elapsed(),
+        elapsed: measured(setups),
     })
 }
 
@@ -242,66 +244,90 @@ pub fn run(opts: &Opts, report: &mut Report) -> Result<(), String> {
     if !opts.trace {
         let tap = Tap::default();
         let mut inputs = setting.inputs(STORM_WINDOWS);
-        inputs.storm(0);
+        let mut setup_fabric = Fabric::quiet(ft.as_ref());
+        setup_fabric.apply_scenario(&inputs.storm(0).0);
+        let setup_tap = Tap::default();
+        let budget = opts.budget(1.0);
         // Set-up: controller tier + first deployment, then a zero-window
         // run that spawns the fleet and ships the initial pinglists.
-        let (setup_s, mut dd) = {
-            let fabric = inputs.fabric(0);
-            timed_setups(opts.setups, || {
-                let mut dd = setting.detector(&tap)?;
-                let mut rng = SmallRng::seed_from_u64(run_seed);
-                dd.run_distributed(&fabric, 0, &DistScript::new(), &mut rng)
-                    .map_err(|e| e.to_string())?;
-                Ok(dd)
-            })?
-        };
-        tap.take();
+        let mut setups = Setups::new(budget, || {
+            let mut dd = setting.detector(&setup_tap)?;
+            let mut rng = SmallRng::seed_from_u64(run_seed);
+            dd.run_distributed(&setup_fabric, 0, &DistScript::new(), &mut rng)
+                .map_err(|e| e.to_string())?;
+            Ok(dd)
+        });
+        let mut dd = setting.detector(&tap)?;
         let mut rng = SmallRng::seed_from_u64(run_seed);
-        let run = drive(&mut dd, &mut inputs, &tap, &mut rng, opts.budget(1.0))?;
+        let run = drive(&mut dd, &mut inputs, &tap, &mut rng, budget, &mut setups)?;
+        let setup_s = setups.median()?;
         let quality = check(report, "churn", &run.results, WARM_WINDOWS, &inputs);
         report.attempted += run.results.len() as u64 + run.probes();
-        let probes = run.probes();
-        put_end_to_end(report, &run, (setup_s, opts.setups), &quality, probes, 0);
+        put_end_to_end(report, &run, setup_s, &quality);
         report.ctx("windows", run.results.len());
         return Ok(());
     }
 
-    // Traced run, four phases over the same seed:
-    // A. untraced distributed (tracing overhead reference);
-    // B. traced distributed, one call of a fixed window count under the
-    //    first storm;
+    // Traced run, four phases over the same seed and one storm. The
+    // distributed phases each make a warm-up call of `WARM_WINDOWS` and
+    // one measured call of the window count A's warm-up rate fills in
+    // a quarter of the time:
+    // A. untraced distributed (the tracing overhead reference);
+    // B. the same calls traced;
     // C. the sequential oracle over B's script (`run_scripted`);
     // D. a standalone `Controller` replay of B's script.
-    let tap = Tap::default();
-    let mut dd = setting.detector(&tap)?;
-    let mut inputs = setting.inputs(STORM_WINDOWS);
-    let mut rng = SmallRng::seed_from_u64(run_seed);
-    let plain = drive(&mut dd, &mut inputs, &tap, &mut rng, opts.budget(0.25))?;
-    check(report, "untraced", &plain.results, WARM_WINDOWS, &inputs);
-    report.attempted += plain.results.len() as u64 + plain.probes();
-    drop(dd);
-
-    let windows = WARM_WINDOWS
-        + ((plain.windows_per_s() * opts.budget(0.25).as_secs_f64()).round() as u64).max(3);
     let mut inputs = setting.inputs(u64::MAX);
-    let script = inputs.script(0, windows);
-    let fabric = inputs.fabric(0);
+    let mut fabric = Fabric::quiet(ft.as_ref());
+    fabric.apply_scenario(&inputs.storm(0).0);
+    let warm_script = inputs.script(0, WARM_WINDOWS);
     let origin = Instant::now();
 
+    let tap = Tap::default();
+    let mut dd = setting.detector(&tap)?;
+    let mut rng = SmallRng::seed_from_u64(run_seed);
+    let t0 = Instant::now();
+    let mut plain = dd
+        .run_distributed(&fabric, WARM_WINDOWS, &warm_script, &mut rng)
+        .map_err(|e| e.to_string())?
+        .results;
+    let warm_rate = WARM_WINDOWS as f64 / t0.elapsed().as_secs_f64();
+    let main = ((warm_rate * opts.budget(0.25).as_secs_f64()).round() as u64).max(3);
+    let script = inputs.script(WARM_WINDOWS, main);
+    let t0 = Instant::now();
+    plain.extend(
+        dd.run_distributed(&fabric, main, &script, &mut rng)
+            .map_err(|e| e.to_string())?
+            .results,
+    );
+    let plain_rate = main as f64 / t0.elapsed().as_secs_f64();
+    check(report, "untraced", &plain, 0, &inputs);
+    report.attempted += plain.len() as u64 + plain.iter().map(|w| w.probes_sent).sum::<u64>();
+    drop(dd);
+
+    let windows = WARM_WINDOWS + main;
     let meter = Arc::new(ProbeMeter::default());
     let tap = Tap::with_meter(meter.clone());
     let mut dd = setting.detector(&tap)?;
     let plane = TimedPlane::new(&fabric, meter.clone());
     let mut rng = SmallRng::seed_from_u64(run_seed);
+    let mut results = dd
+        .run_distributed(&plane, WARM_WINDOWS, &warm_script, &mut rng)
+        .map_err(|e| e.to_string())?
+        .results;
+    tap.next_chunk();
+    meter.reset();
     let t0 = Instant::now();
     let outcome = dd
-        .run_distributed(&plane, windows, &script, &mut rng)
+        .run_distributed(&plane, main, &script, &mut rng)
         .map_err(|e| e.to_string())?;
     let dist_elapsed = t0.elapsed();
+    results.extend(outcome.results.iter().cloned());
     let dist_records = tap.take();
-    check(report, "traced", &outcome.results, 0, &inputs);
-    report.attempted +=
-        outcome.results.len() as u64 + outcome.results.iter().map(|w| w.probes_sent).sum::<u64>();
+    check(report, "traced", &results, 0, &inputs);
+    report.attempted += results.len() as u64 + results.iter().map(|w| w.probes_sent).sum::<u64>();
+    report.check(plain == results, || {
+        "untraced distributed results differ from the traced run's".to_string()
+    });
     let groups = dd.groups().clone();
     drop(dd);
 
@@ -314,17 +340,27 @@ pub fn run(opts: &Opts, report: &mut Report) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let oracle_plane = TimedPlane::new(&fabric, oracle_meter.clone());
     let mut rng = SmallRng::seed_from_u64(run_seed);
-    let oracle = det
-        .run_scripted(&oracle_plane, windows, &script.oracle(&groups), &mut rng)
+    let mut oracle = det
+        .run_scripted(
+            &oracle_plane,
+            WARM_WINDOWS,
+            &warm_script.oracle(&groups),
+            &mut rng,
+        )
         .map_err(|e| e.to_string())?;
+    oracle_tap.next_chunk();
+    oracle.extend(
+        det.run_scripted(&oracle_plane, main, &script.oracle(&groups), &mut rng)
+            .map_err(|e| e.to_string())?,
+    );
     let oracle_records = oracle_tap.take();
     report.attempted += oracle.len() as u64 + oracle.iter().map(|w| w.probes_sent).sum::<u64>();
-    report.check(oracle == outcome.results, || {
+    report.check(oracle == results, || {
         let first = oracle
             .iter()
-            .zip(&outcome.results)
+            .zip(&results)
             .position(|(a, b)| a != b)
-            .unwrap_or(oracle.len().min(outcome.results.len()));
+            .unwrap_or(oracle.len().min(results.len()));
         format!("distributed results diverge from the run_scripted oracle at window {first}")
     });
     report.check(
@@ -350,8 +386,8 @@ pub fn run(opts: &Opts, report: &mut Report) -> Result<(), String> {
     let t = timings(recs);
     let oracle_t = timings(&oracle_records[warm.min(oracle_records.len())..]);
     let calls = meter.calls();
-    let per_window = calls as f64 / windows as f64;
-    report.put("simnet.probe_calls", per_window, windows);
+    let per_window = calls as f64 / main as f64;
+    report.put("simnet.probe_calls", per_window, main);
     report.put("simnet.busy_ms", median(&t.busy), n);
     report.put(
         "simnet.ns_per_probe",
@@ -373,7 +409,7 @@ pub fn run(opts: &Opts, report: &mut Report) -> Result<(), String> {
     report.put(
         "scheduler.worker_busy_ratio",
         meter.busy_ns() as f64 / 1e9 / (dist_elapsed.as_secs_f64() * agents as f64),
-        windows,
+        main,
     );
     let dist_p50 = median(&t.window);
     let seq_p50 = median(&oracle_t.window);
@@ -388,27 +424,22 @@ pub fn run(opts: &Opts, report: &mut Report) -> Result<(), String> {
         n,
     );
     report.put("agent.overhead_ms", dist_p50 - seq_p50, n);
-    let w = windows as f64;
+    let w = main as f64;
     report.put(
         "agent.dispatch_bytes",
         outcome.dispatch_bytes as f64 / w,
-        windows,
+        main,
     );
     report.put(
         "agent.control_bytes",
         outcome.control_bytes as f64 / w,
-        windows,
+        main,
     );
-    report.put(
-        "agent.report_bytes",
-        outcome.report_bytes as f64 / w,
-        windows,
-    );
-    let traced_rate = outcome.results.len() as f64 / dist_elapsed.as_secs_f64();
+    report.put("agent.report_bytes", outcome.report_bytes as f64 / w, main);
     report.put(
         "trace.overhead_ratio",
-        plain.windows_per_s() / traced_rate,
-        windows,
+        plain_rate / (w / dist_elapsed.as_secs_f64()),
+        main,
     );
     let nd = replay.linkdown_ms.len() as u64;
     report.put("planner.linkdown_ms_p50", median(&replay.linkdown_ms), nd);

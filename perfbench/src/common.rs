@@ -17,8 +17,6 @@ pub struct Opts {
     pub trace: bool,
     /// Fattree radix (16 for the benchmark, 4 for the self-test).
     pub radix: u32,
-    /// Set-ups per run; `setup_s` is their median.
-    pub setups: usize,
     /// Directory the traced run writes its spans to.
     pub spans_dir: String,
 }
@@ -45,60 +43,66 @@ pub fn base_config(pps: f64) -> SystemConfig {
     }
 }
 
-/// Runs `chunk(n)` (n windows per call) in a closed loop until `budget`
-/// has elapsed. The first call runs `first` windows; later calls are
-/// sized from the rate measured so far to land near the budget. Returns
-/// the windows run and the wall time they took.
-pub fn run_for(
-    budget: Duration,
-    first: u64,
-    mut chunk: impl FnMut(u64) -> Result<(), String>,
-) -> Result<(u64, Duration), String> {
-    let t0 = Instant::now();
-    let mut done = 0u64;
-    let mut n = first.max(1);
-    loop {
-        chunk(n)?;
-        done += n;
-        let elapsed = t0.elapsed();
-        if elapsed >= budget {
-            break;
+/// Set-ups timed per run; `setup_s` is their median.
+pub const SETUPS: usize = 40;
+
+/// [`SETUPS`] timed set-ups spread evenly over a measured phase and
+/// run between its windows. A host's speed can swing by more than half
+/// over seconds, so a burst of set-ups lands in one speed regime while
+/// the windows see several; spread out, they sample the same mix. Each
+/// set-up is dropped right after it is timed, beside the phase's own
+/// live detector.
+pub struct Setups<'a> {
+    /// Builds one set-up, drops it, and returns its build time.
+    setup: Box<dyn FnMut() -> Result<Duration, String> + 'a>,
+    every: Duration,
+    times: Vec<f64>,
+    /// Wall time spent in set-ups, to exclude from the phase.
+    pub spent: Duration,
+}
+
+impl<'a> Setups<'a> {
+    pub fn new<T>(budget: Duration, mut setup: impl FnMut() -> Result<T, String> + 'a) -> Self {
+        Self {
+            setup: Box::new(move || {
+                let t0 = Instant::now();
+                let built = setup()?;
+                let took = t0.elapsed();
+                drop(built);
+                Ok(took)
+            }),
+            every: budget / SETUPS as u32,
+            times: Vec::with_capacity(SETUPS),
+            spent: Duration::ZERO,
         }
-        let rate = done as f64 / elapsed.as_secs_f64();
-        let left = (budget - elapsed).as_secs_f64() * rate;
-        if left < 0.5 {
-            break;
-        }
-        n = left.round().max(1.0) as u64;
     }
-    Ok((done, t0.elapsed()))
-}
 
-/// Windows for the first measured call: half the budget at the warm-up
-/// rate, so later calls correct a misestimate.
-pub fn first_chunk(warm_windows: u64, warm: Duration, budget: Duration) -> u64 {
-    let rate = warm_windows as f64 / warm.as_secs_f64().max(1e-6);
-    ((rate * budget.as_secs_f64() / 2.0).floor() as u64).max(1)
-}
+    /// Runs the set-ups due once `measured` of the phase has passed;
+    /// returns whether any ran.
+    pub fn run_due(&mut self, measured: Duration) -> Result<bool, String> {
+        let mut ran = false;
+        while self.times.len() < SETUPS && measured >= self.every * self.times.len() as u32 {
+            self.sample()?;
+            ran = true;
+        }
+        Ok(ran)
+    }
 
-/// Median of `n` timed set-ups, seconds; returns it with the last
-/// set-up's value.
-pub fn timed_setups<T>(
-    n: usize,
-    mut setup: impl FnMut() -> Result<T, String>,
-) -> Result<(f64, T), String> {
-    let mut times = Vec::with_capacity(n);
-    let mut last: Option<T> = None;
-    for _ in 0..n.max(1) {
-        // Drop the previous set-up first so each one starts clean.
-        drop(last.take());
+    /// Runs the set-ups not yet run and returns the median, seconds.
+    pub fn median(mut self) -> Result<f64, String> {
+        while self.times.len() < SETUPS {
+            self.sample()?;
+        }
+        Ok(median(&self.times))
+    }
+
+    fn sample(&mut self) -> Result<(), String> {
         let t0 = Instant::now();
-        let v = setup()?;
-        times.push(t0.elapsed().as_secs_f64());
-        last = Some(v);
+        let took = (self.setup)()?;
+        self.times.push(took.as_secs_f64());
+        self.spent += t0.elapsed();
+        Ok(())
     }
-    let value = last.ok_or("no set-up ran")?;
-    Ok((median(&times), value))
 }
 
 /// Peak resident set size of this process (`VmHWM`), MiB.
@@ -146,7 +150,6 @@ pub const END_TO_END: &[(&str, &str)] = &[
     ("rss_peak_mb", "MiB"),
     ("diag_accuracy", "ratio"),
     ("diag_precision", "ratio"),
-    ("probe_completion_ratio", "ratio"),
 ];
 
 /// The per-layer metrics (`--trace 1`), name and unit, in print order.
@@ -377,17 +380,8 @@ impl Campaign {
 }
 
 /// Puts every end-to-end metric of a measured phase. `quality` holds
-/// one (accuracy, precision) pair per window; `attempts` and
-/// `failed_attempts` count probe attempts and those abandoned on a
-/// timeout or send error.
-pub fn put_end_to_end(
-    report: &mut Report,
-    run: &Campaign,
-    setup: (f64, usize),
-    quality: &[(f64, f64)],
-    attempts: u64,
-    failed_attempts: u64,
-) {
+/// one (accuracy, precision) pair per window.
+pub fn put_end_to_end(report: &mut Report, run: &Campaign, setup_s: f64, quality: &[(f64, f64)]) {
     let t = timings(&run.records);
     let n = run.results.len() as u64;
     report.put("windows_per_s", run.windows_per_s(), n);
@@ -398,15 +392,9 @@ pub fn put_end_to_end(
     );
     put_p50_p90(report, "window_ms_p50", "window_ms_p90", &t.window);
     put_p50_p90(report, "verdict_ms_p50", "verdict_ms_p90", &t.verdict);
-    report.put("setup_s", setup.0, setup.1 as u64);
+    report.put("setup_s", setup_s, SETUPS as u64);
     report.put("rss_peak_mb", rss_peak_mb(), 1);
     let (accuracy, precision) = mean_quality(quality);
     report.put("diag_accuracy", accuracy, quality.len() as u64);
     report.put("diag_precision", precision, quality.len() as u64);
-    let completed = attempts.saturating_sub(failed_attempts);
-    report.put(
-        "probe_completion_ratio",
-        completed as f64 / attempts.max(1) as f64,
-        attempts,
-    );
 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! perfbench --workload <steady|churn|wire> --seed <n> --seconds <s> --trace <0|1>
-//!           [--radix <k>] [--setups <n>] [--spans-dir <dir>]
+//!           [--radix <k>] [--spans-dir <dir>]
 //! ```
 //!
 //! `--trace 0` prints the end-to-end metrics, `--trace 1` the per-layer
@@ -36,7 +36,6 @@ fn parse_args() -> Result<Opts, String> {
         seconds: 10.0,
         trace: false,
         radix: 16,
-        setups: 15,
         spans_dir: ".perfbench".to_string(),
     };
     let mut args = std::env::args().skip(1);
@@ -49,7 +48,6 @@ fn parse_args() -> Result<Opts, String> {
             "--seconds" => opts.seconds = value.parse().map_err(|e| bad(&e))?,
             "--trace" => opts.trace = value != "0",
             "--radix" => opts.radix = value.parse().map_err(|e| bad(&e))?,
-            "--setups" => opts.setups = value.parse().map_err(|e| bad(&e))?,
             "--spans-dir" => opts.spans_dir = value.clone(),
             _ => return Err(format!("unknown flag {flag}")),
         }
@@ -112,7 +110,7 @@ fn main() -> ExitCode {
         ("cores", Json::uint(cores() as u64)),
         ("topology", Json::Str(format!("Fattree({})", opts.radix))),
         ("seconds", Json::Float(opts.seconds)),
-        ("setups", Json::uint(opts.setups as u64)),
+        ("setups", Json::uint(common::SETUPS as u64)),
         (
             "host_steal_ratio",
             Json::Float(common::steal_ratio(host_before, common::host_cpu_jiffies())),

@@ -15,9 +15,7 @@ use detector::prelude::{
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::common::{
-    cores, first_chunk, put_end_to_end, run_for, timed_setups, timings, Campaign, Opts, Report,
-};
+use crate::common::{cores, put_end_to_end, timings, Campaign, Opts, Report, Setups};
 use crate::layers::{put_event_layers, Spans};
 use crate::meter::{ProbeMeter, TimedPlane};
 use crate::stats::median;
@@ -115,8 +113,37 @@ fn path_quality(matrix: &ProbeMatrix, shim: &LossShim, w: &WindowResult) -> (f64
     )
 }
 
+/// Runs `chunk(n)` (n windows per `run_pipelined` call) in a closed
+/// loop until `budget` has elapsed. The first call runs `first` windows;
+/// later calls are sized from the rate measured so far to land near the
+/// budget. Returns the wall time the calls took.
+fn run_for(
+    budget: Duration,
+    first: u64,
+    mut chunk: impl FnMut(u64) -> Result<(), String>,
+) -> Result<Duration, String> {
+    let t0 = Instant::now();
+    let mut done = 0u64;
+    let mut n = first.max(1);
+    loop {
+        chunk(n)?;
+        done += n;
+        let elapsed = t0.elapsed();
+        if elapsed >= budget {
+            break;
+        }
+        let rate = done as f64 / elapsed.as_secs_f64();
+        let left = (budget - elapsed).as_secs_f64() * rate;
+        if left < 0.5 {
+            break;
+        }
+        n = left.round().max(1.0) as u64;
+    }
+    Ok(t0.elapsed())
+}
+
 /// Warms `det` up, then runs pipelined chunks in a closed loop for
-/// `budget`. Returns the campaign and the counter deltas over it.
+/// `budget`, the first sized to half the budget at the warm-up rate. Returns the campaign and the counter deltas over it.
 #[allow(clippy::too_many_arguments)]
 fn drive(
     det: &mut Detector,
@@ -135,11 +162,12 @@ fn drive(
     };
     let t0 = Instant::now();
     chunk(det, WARM_WINDOWS)?;
-    let first = first_chunk(WARM_WINDOWS, t0.elapsed(), budget);
+    let warm_rate = WARM_WINDOWS as f64 / t0.elapsed().as_secs_f64().max(1e-6);
+    let first = ((warm_rate * budget.as_secs_f64() / 2.0).floor() as u64).max(1);
     tap.take();
     let before = WireStats::read(udp, harness);
     let mut results = Vec::new();
-    let (_, elapsed) = run_for(budget, first, |n| {
+    let elapsed = run_for(budget, first, |n| {
         results.extend(chunk(det, n)?);
         Ok(())
     })?;
@@ -239,8 +267,12 @@ pub fn run(opts: &Opts, report: &mut Report) -> Result<(), String> {
     };
 
     if !opts.trace {
+        // Set-ups in one burst before the run: `drive` calls the
+        // pipelined driver in a few long calls, with no room between.
+        let setup_tap = Tap::default();
+        let setup_s = Setups::new(opts.budget(1.0), || setting.rig(&setup_tap)).median()?;
         let tap = Tap::default();
-        let (setup_s, rig) = timed_setups(opts.setups, || setting.rig(&tap))?;
+        let rig = setting.rig(&tap)?;
         let Rig {
             mut det,
             plane,
@@ -267,14 +299,16 @@ pub fn run(opts: &Opts, report: &mut Report) -> Result<(), String> {
         report.attempted += run.results.len() as u64 + attempts;
         report.failed += failed;
         let q = quality(&det, &run.results);
-        put_end_to_end(report, &run, (setup_s, opts.setups), &q, attempts, failed);
+        put_end_to_end(report, &run, setup_s, &q);
         report.ctx("windows", run.results.len());
         report.ctx("kernel_timestamps", plane.kernel_timestamps());
         return Ok(());
     }
 
-    // Traced run: A. untraced pipelined (tracing overhead reference),
-    // then the transport phases B and C.
+    // Traced run: the transport phases B and C, then A, an untraced
+    // reference that repeats B's calls without the timing wrapper.
+    let mut spans = Spans::new(Instant::now());
+    let piped = transport(&setting, report, opts.budget(0.7), &mut spans)?;
     let tap = Tap::default();
     let Rig {
         mut det,
@@ -282,32 +316,44 @@ pub fn run(opts: &Opts, report: &mut Report) -> Result<(), String> {
         harness,
     } = setting.rig(&tap)?;
     let mut rng = SmallRng::seed_from_u64(setting.run_seed);
-    let (plain, plain_stats) = drive(
-        &mut det,
-        &plane,
-        &plane,
-        &harness,
-        &tap,
-        &setting.pipeline,
-        &mut rng,
-        opts.budget(0.2),
-    )?;
-    let (attempts, failed) = plain_stats.attempts();
-    report.attempted += plain.results.len() as u64 + attempts;
+    let before = WireStats::read(&plane, &harness);
+    let mut plain = det
+        .run_pipelined(
+            &plane,
+            WARM_WINDOWS,
+            &Script::new(),
+            &setting.pipeline,
+            &mut rng,
+        )
+        .map_err(|e| e.to_string())?;
+    let t0 = Instant::now();
+    let measured = det
+        .run_pipelined(
+            &plane,
+            piped.windows,
+            &Script::new(),
+            &setting.pipeline,
+            &mut rng,
+        )
+        .map_err(|e| e.to_string())?;
+    let plain_rate = measured.len() as f64 / t0.elapsed().as_secs_f64();
+    plain.extend(measured);
+    let stats = WireStats::read(&plane, &harness).since(before);
+    let (attempts, failed) = stats.attempts();
+    report.attempted += plain.len() as u64 + attempts;
     report.failed += failed;
-    report.check(plain_stats.udp.decode_errors == 0, || {
+    report.check(stats.udp.decode_errors == 0, || {
         format!(
             "{} datagrams failed probe decoding",
-            plain_stats.udp.decode_errors
+            stats.udp.decode_errors
         )
+    });
+    report.check(plain == piped.results, || {
+        "untraced pipelined results differ from the traced run's".to_string()
     });
     report.ctx("kernel_timestamps", plane.kernel_timestamps());
     drop((det, plane, harness));
 
-    let windows = WARM_WINDOWS
-        + ((plain.windows_per_s() * opts.budget(0.2).as_secs_f64()).round() as u64).max(3);
-    let mut spans = Spans::new(Instant::now());
-    let piped = transport(&setting, report, windows, &mut spans)?;
     put_event_layers(report, &piped.records, workers);
     let pinger_self = report.value("pinger.self_ms");
     report.put(
@@ -317,34 +363,41 @@ pub fn run(opts: &Opts, report: &mut Report) -> Result<(), String> {
     );
     report.put(
         "trace.overhead_ratio",
-        plain.windows_per_s() / piped.windows_per_s,
-        windows,
+        plain_rate / piped.windows_per_s,
+        piped.windows,
     );
     let path = spans
         .write(&opts.spans_dir, &opts.workload, opts.seed)
         .map_err(|e| format!("writing spans: {e}"))?;
     report.ctx("spans", path.display());
-    report.ctx("windows", windows);
+    report.ctx("windows", piped.windows);
     Ok(())
 }
 
 /// What the traced pipelined phase leaves for the event-stream layers.
 pub struct Transport {
-    /// Window records after warm-up.
+    /// Results of every window, warm-up included.
+    pub results: Vec<WindowResult>,
+    /// Window records of the measured call.
     pub records: Vec<WindowRecord>,
+    /// Windows in the measured call.
+    pub windows: u64,
     pub windows_per_s: f64,
     pub probes_per_window: f64,
 }
 
 /// The wire campaign's transport phases over one responder/socket rig:
-/// B. `windows` pipelined windows behind the timing wrapper; C. the same
-/// windows through sequential `run_scripted` over the same plane, whose
-/// results must be equal. Puts the `udp.*`, `responder.*` and
-/// `scheduler.*` metrics and adds both phases' spans.
+/// B. pipelined windows behind the timing wrapper; C. the same windows
+/// through sequential `run_scripted` over the same plane, whose results
+/// must be equal. Each phase makes a warm-up call of `WARM_WINDOWS`
+/// and one measured call; the measured calls' window count is sized
+/// from the warm-ups' rates so that both fill about `budget`. Puts the
+/// `udp.*`, `responder.*` and `scheduler.*` metrics and adds both
+/// phases' spans.
 fn transport(
     setting: &Setting,
     report: &mut Report,
-    windows: u64,
+    budget: Duration,
     spans: &mut Spans,
 ) -> Result<Transport, String> {
     let workers = setting.workers();
@@ -356,33 +409,52 @@ fn transport(
         harness,
     } = setting.rig(&tap)?;
     let timed = TimedPlane::new(&plane, meter.clone());
-    let before = WireStats::read(&plane, &harness);
+    let seq_meter = Arc::new(ProbeMeter::default());
+    let seq_tap = Tap::with_meter(seq_meter.clone());
+    let mut seq_det = setting.build(&seq_tap)?;
+    let seq_plane = TimedPlane::new(&plane, seq_meter);
     let mut rng = SmallRng::seed_from_u64(setting.run_seed);
+    let mut seq_rng = SmallRng::seed_from_u64(setting.run_seed);
+    let start = WireStats::read(&plane, &harness);
+
     let t0 = Instant::now();
-    let piped = det
-        .run_pipelined(&timed, windows, &Script::new(), &setting.pipeline, &mut rng)
+    let mut piped = det
+        .run_pipelined(
+            &timed,
+            WARM_WINDOWS,
+            &Script::new(),
+            &setting.pipeline,
+            &mut rng,
+        )
         .map_err(|e| e.to_string())?;
+    let t1 = Instant::now();
+    let mut seq = seq_det
+        .run_scripted(&seq_plane, WARM_WINDOWS, &Script::new(), &mut seq_rng)
+        .map_err(|e| e.to_string())?;
+    let per_window = (t1.elapsed() + (t1 - t0)).as_secs_f64() / WARM_WINDOWS as f64;
+    let windows = ((budget.as_secs_f64() / per_window).round() as u64).max(3);
+    tap.take();
+    seq_tap.take();
+    meter.reset();
+
+    let before = WireStats::read(&plane, &harness);
+    let t0 = Instant::now();
+    piped.extend(
+        det.run_pipelined(&timed, windows, &Script::new(), &setting.pipeline, &mut rng)
+            .map_err(|e| e.to_string())?,
+    );
     let piped_elapsed = t0.elapsed();
     let stats = WireStats::read(&plane, &harness).since(before);
     let piped_records = tap.take();
-    let (attempts, failed) = stats.attempts();
-    report.attempted += piped.len() as u64 + attempts;
-    report.failed += failed;
-    drop(det);
-
-    let seq_meter = Arc::new(ProbeMeter::default());
-    let seq_tap = Tap::with_meter(seq_meter.clone());
-    let mut det = setting.build(&seq_tap)?;
-    let seq_plane = TimedPlane::new(&plane, seq_meter);
-    let before_seq = WireStats::read(&plane, &harness);
-    let mut rng = SmallRng::seed_from_u64(setting.run_seed);
-    let seq = det
-        .run_scripted(&seq_plane, windows, &Script::new(), &mut rng)
-        .map_err(|e| e.to_string())?;
-    let seq_stats = WireStats::read(&plane, &harness).since(before_seq);
+    seq.extend(
+        seq_det
+            .run_scripted(&seq_plane, windows, &Script::new(), &mut seq_rng)
+            .map_err(|e| e.to_string())?,
+    );
     let seq_records = seq_tap.take();
-    let (attempts, failed) = seq_stats.attempts();
-    report.attempted += seq.len() as u64 + attempts;
+    let all = WireStats::read(&plane, &harness).since(start);
+    let (attempts, failed) = all.attempts();
+    report.attempted += (piped.len() + seq.len()) as u64 + attempts;
     report.failed += failed;
     report.check(seq == piped, || {
         let first = seq
@@ -392,16 +464,13 @@ fn transport(
             .unwrap_or(seq.len().min(piped.len()));
         format!("pipelined results diverge from run_scripted at window {first}")
     });
-    let decode_errors = stats.udp.decode_errors + seq_stats.udp.decode_errors;
-    report.check(decode_errors == 0, || {
-        format!("{decode_errors} datagrams failed probe decoding")
+    report.check(all.udp.decode_errors == 0, || {
+        format!("{} datagrams failed probe decoding", all.udp.decode_errors)
     });
 
-    let warm = WARM_WINDOWS as usize;
-    let recs = &piped_records[warm.min(piped_records.len())..];
-    let n = recs.len() as u64;
-    let t = timings(recs);
-    let seq_t = timings(&seq_records[warm.min(seq_records.len())..]);
+    let n = piped_records.len() as u64;
+    let t = timings(&piped_records);
+    let seq_t = timings(&seq_records);
     let w = windows as f64;
     let calls = meter.calls();
     report.put(
@@ -459,15 +528,17 @@ fn transport(
     spans.add_windows("pipelined", &piped_records);
     spans.add_windows("sequential", &seq_records);
     Ok(Transport {
-        records: recs.to_vec(),
-        windows_per_s: piped.len() as f64 / piped_elapsed.as_secs_f64(),
+        results: piped,
+        records: piped_records,
+        windows,
+        windows_per_s: w / piped_elapsed.as_secs_f64(),
         probes_per_window: calls as f64 / w,
     })
 }
 
 /// The wire transport phases run inside another workload's traced run
 /// (see README.md: `wire` is not a gated workload, but its layers are
-/// measured): `WARM_WINDOWS` plus enough windows to fill about `budget`.
+/// measured), sized to fill about `budget`.
 pub fn transport_layers(
     opts: &Opts,
     report: &mut Report,
@@ -475,11 +546,8 @@ pub fn transport_layers(
     spans: &mut Spans,
 ) -> Result<(), String> {
     let setting = Setting::new(opts)?;
-    // Pipelined and sequential wire windows take ~0.16 s and ~0.45 s
-    // on a 2-core host: about 1.6 windows per second for both phases.
-    let windows = WARM_WINDOWS + ((budget.as_secs_f64() * 1.6).round() as u64).max(3);
-    transport(&setting, report, windows, spans)?;
-    report.ctx("transport_windows", windows);
+    let t = transport(&setting, report, budget, spans)?;
+    report.ctx("transport_windows", t.windows);
     report.ctx("transport_probe_workers", setting.workers());
     report.ctx("transport_sockets", SOCKETS);
     report.ctx("transport_responders", RESPONDERS);

@@ -35,7 +35,7 @@ fn run(workload: &str, trace: bool) -> (Json, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_perfbench"))
         .args(["--workload", workload, "--seed", "7", "--seconds", "0.5"])
         .args(["--trace", if trace { "1" } else { "0" }])
-        .args(["--radix", "4", "--setups", "2"])
+        .args(["--radix", "4"])
         .arg("--spans-dir")
         .arg(&spans)
         .output()
