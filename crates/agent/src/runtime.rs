@@ -288,7 +288,7 @@ impl DistributedDetector {
         let mut controller = Controller::new(topo.clone(), cfg.clone());
         let watchdog = Watchdog::new();
         let deployment = controller.build_deployment(watchdog.unhealthy_set())?;
-        let diagnoser = Diagnoser::new(deployment.matrix.clone(), cfg.pll).with_diag(cfg.diag);
+        let diagnoser = Diagnoser::new(deployment.matrix.clone(), cfg.pll);
         let groups = partition_hosts(topo.graph(), agents);
         Ok(Self {
             topo,
@@ -568,22 +568,16 @@ impl DistributedDetector {
 
                 // Collect: drain each agent to its WindowDone; an agent
                 // dying mid-window forfeits its reports (its racks go
-                // unhealthy), it never stalls the window. Each Report
-                // frame feeds the ingest-plane shards the moment it is
-                // decoded — aggregation is done before collection ends —
-                // and a dead agent's already-folded reports are
-                // retracted, which lands exactly where the fold did.
+                // unhealthy, so the ingest loop below skips them), it
+                // never stalls the window.
                 let mut got: HashMap<NodeId, detector_system::PingerReport> = HashMap::new();
                 for g in dispatched {
                     let Some(t) = &links[g].transport else {
                         continue;
                     };
-                    let mut from_agent: Vec<NodeId> = Vec::new();
                     let died = loop {
                         match t.recv() {
                             Ok(Frame::Report(r)) => {
-                                self.diagnoser.fold(&r);
-                                from_agent.push(r.pinger);
                                 got.insert(r.pinger, r);
                             }
                             Ok(Frame::WindowDone { window: w, .. }) if w == window => break false,
@@ -596,11 +590,6 @@ impl DistributedDetector {
                         }
                     };
                     if died {
-                        for p in from_agent {
-                            if let Some(r) = got.remove(&p) {
-                                self.diagnoser.retract(&r);
-                            }
-                        }
                         kill(&mut links, &groups, &mut self.watchdog, g);
                     }
                 }
@@ -612,12 +601,6 @@ impl DistributedDetector {
                     self.deployment.pinglists.iter().map(|l| l.pinger).collect();
                 for pinger in pingers {
                     if !self.watchdog.is_healthy(pinger) {
-                        // Keep the fold set ≡ the store set: a report from
-                        // a pinger that went unhealthy after it reported is
-                        // withdrawn from the shards too.
-                        if let Some(r) = got.remove(&pinger) {
-                            self.diagnoser.retract(&r);
-                        }
                         self.emit(RuntimeEvent::PingerUnhealthy { window, pinger });
                         continue;
                     }
@@ -632,29 +615,16 @@ impl DistributedDetector {
                         probes_sent: sent,
                         num_paths: report.paths.len(),
                     });
-                    // Already folded at frame receipt — file the raw
-                    // report only.
-                    self.diagnoser.ingest_stored(report);
+                    self.diagnoser.ingest(report);
                 }
 
                 let event = self.diagnoser.diagnose(window, &self.watchdog);
                 self.clock.advance_s(self.cfg.window_s);
                 self.window += 1;
                 self.diagnoser.prune_before(window.saturating_sub(20));
-                self.emit(RuntimeEvent::IngestStats {
-                    window,
-                    reports: event.reports,
-                    paths_active: event.num_observations as u64,
-                    topk_hits: event.topk_hits,
-                    shard_contention: event.shard_contention,
-                    retract_mismatch: event.retract_mismatch,
-                });
-                self.emit(RuntimeEvent::DiagStats {
-                    window,
-                    lossy_paths: event.lossy_paths,
-                    components: event.components,
-                    suspects: event.diagnosis.suspects.len() as u64,
-                });
+                for ev in event.stats_events() {
+                    self.emit(ev);
+                }
                 let result = WindowResult {
                     window,
                     start_s,

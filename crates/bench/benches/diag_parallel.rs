@@ -1,31 +1,25 @@
-//! Component-parallel diagnosis: per-window PLL on Fattree(16) with
-//! multiple simultaneous failures, sequential `localize` vs the
-//! component-decomposed fan-out (`ComponentPll`) at 4 workers.
+//! The diagnoser's localizer on a multi-failure storm: per-window PLL on
+//! Fattree(16), plain `localize` (the oracle) vs `IncrementalPll` (what
+//! the diagnoser runs).
 //!
 //! The scenario plants one full-loss edge–agg link in each of several
-//! pods. Full loss turns every observed path through a planted link
-//! lossy, so each pod contributes a heavy island to the lossy-path/link
-//! incidence and the window decomposes into independent components —
-//! the structure `parallel_components` exploits. Two loss variants
-//! alternate between iterations so the parallel arm's per-window verdict
-//! cache never short-circuits an identical window; its per-epoch
-//! skeleton cache stays warm across iterations, exactly as in a real
-//! campaign (the matrix does not change between windows).
+//! pods, so the window's lossy paths form many heavy islands — the worst
+//! case for the global greedy. Two loss variants alternate between
+//! iterations so the incremental arm's identical-window verdict cache
+//! never short-circuits; its per-epoch skeleton stays warm across
+//! iterations, exactly as in a real campaign (the matrix does not change
+//! between windows).
 //!
 //! Arms:
 //!
-//! * `sequential` — plain `localize`, the diagnoser's
-//!   `parallel_components = 1` path;
-//! * `parallel_1w` — the component decomposition on one worker
-//!   (attribution: decomposition + skeleton cache without threads);
-//! * `parallel_4w` — the same fan-out on a 4-worker pool, the number
-//!   `BENCH_diag.json` pins (≥1.5× over `sequential`, checked by
+//! * `localize` — plain `localize`, rebuilding the skeleton every window;
+//! * `incremental` — `IncrementalPll` patching only the flipped paths,
+//!   the number `BENCH_diag.json` pins (≥1.5× over `localize`, checked by
 //!   `tests/bench_artifacts.rs`).
 //!
-//! A second group runs a whole 4-window pipelined campaign with
-//! `parallel_components = 4` switched on — the windows/s guard: wiring
-//! the fan-out through the scheduler's worker channel must not slow the
-//! end-to-end window loop by more than 10% against the committed
+//! A second group runs a whole 4-window pipelined campaign on the default
+//! configuration — the windows/s guard: the diagnosis stage must not slow
+//! the end-to-end window loop by more than 10% against the committed
 //! `BENCH_sched.json` baseline.
 //!
 //! Regenerate with:
@@ -35,7 +29,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use detector_core::pll::{localize, ComponentPll, PllConfig};
+use detector_core::pll::{localize, IncrementalPll, PllConfig};
 use detector_core::pmc::ProbeMatrix;
 use detector_core::types::{LinkId, PathObservation};
 use detector_simnet::{Fabric, LossDiscipline};
@@ -97,7 +91,7 @@ fn multifail(c: &mut Criterion) {
     let mut g = c.benchmark_group("diag_parallel/fattree16_multifail");
     g.sample_size(30);
 
-    g.bench_function("sequential", |b| {
+    g.bench_function("localize", |b| {
         b.iter(|| {
             for w in &windows {
                 localize(&matrix, w, &cfg);
@@ -105,16 +99,14 @@ fn multifail(c: &mut Criterion) {
         })
     });
 
-    for workers in [1usize, 4] {
-        let mut cpll = ComponentPll::new();
-        g.bench_function(format!("parallel_{workers}w"), |b| {
-            b.iter(|| {
-                for w in &windows {
-                    cpll.localize(&matrix, w, &cfg, workers);
-                }
-            })
-        });
-    }
+    let mut inc = IncrementalPll::new();
+    g.bench_function("incremental", |b| {
+        b.iter(|| {
+            for w in &windows {
+                inc.localize(&matrix, w, &cfg);
+            }
+        })
+    });
     g.finish();
 }
 
@@ -125,14 +117,13 @@ fn windows_guard(c: &mut Criterion) {
         ft.ac_link(3, 1, 2),
         LossDiscipline::RandomPartial { rate: 0.3 },
     );
-    // The scheduler-throughput scenario with component-parallel
-    // diagnosis switched on: comparable window for window with
+    // The scheduler-throughput scenario on the default configuration:
+    // comparable window for window with
     // `scheduler_throughput/fattree16_cpu/pipelined` in BENCH_sched.json.
     let cfg = SystemConfig {
         cycle_s: u64::MAX,
         ..SystemConfig::default().with_rate(10.0)
-    }
-    .with_parallel_diagnosis(4);
+    };
     let pipeline = PipelineConfig {
         probe_workers: std::thread::available_parallelism()
             .map(|p| p.get())
@@ -146,7 +137,7 @@ fn windows_guard(c: &mut Criterion) {
     let mut run = Detector::new(ft.clone() as SharedTopology, cfg).expect("boot");
     let mut rng = SmallRng::seed_from_u64(1);
     let script = Script::new();
-    g.bench_function("pipelined_diag4", |b| {
+    g.bench_function("pipelined_default", |b| {
         b.iter(|| {
             run.run_pipelined(&fabric, 4, &script, &pipeline, &mut rng)
                 .expect("pipelined campaign")

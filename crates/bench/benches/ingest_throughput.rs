@@ -1,21 +1,17 @@
-//! Ingest-plane throughput: path-report entries folded per second into
-//! the sharded lock-free [`IngestPlane`], plus a windows/s guard proving
-//! the streaming plane did not slow the Fattree(16) scheduler down.
+//! Report → verdict throughput: path-report entries per second through
+//! `Diagnoser` — the dense per-window fold at ingest, then seal + PLL —
+//! plus a windows/s guard proving the diagnosis path did not slow the
+//! Fattree(16) scheduler down.
 //!
-//! * `fattree16/fold_seal_st_{N}entries` — one thread folds eight
-//!   consecutive windows of [`BurstLossReports`] (every probe-matrix
-//!   path reported once per window, 2% of them lossy) and seals each.
-//!   Entries/s = N / median.
-//! * `fattree16/fold_seal_mt4_{N}entries` — the same eight windows
-//!   folded by four threads concurrently, the distributed controller's
-//!   shape: one collector per agent stripe hammering the lanes. The
-//!   shard CAS design should hold the per-entry cost near the
-//!   single-thread number; a collapse here means false sharing or lane
-//!   contention.
+//! * `fattree16/fold_seal_diagnose_st_{N}entries` — one thread ingests
+//!   eight consecutive windows of [`BurstLossReports`] (every
+//!   probe-matrix path reported once per window, 2% of them lossy) and
+//!   diagnoses each. Entries/s = N / median. The reports are built
+//!   outside the timed section.
 //! * `fattree16_windows/pipelined_4w` — the scheduler-throughput
-//!   pipelined arm re-measured with ingest wired in. windows/s =
-//!   4 / median; `tests/bench_artifacts.rs` guards this against the
-//!   committed `BENCH_sched.json` numbers.
+//!   pipelined arm re-measured with the diagnoser in the window loop.
+//!   windows/s = 4 / median; `tests/bench_artifacts.rs` guards this
+//!   against the committed `BENCH_sched.json` numbers.
 //!
 //! The per-iteration entry count is encoded in the bench name so the
 //! committed `BENCH_ingest.json` is self-describing: the artifact test
@@ -27,26 +23,26 @@
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use detector_core::pll::PllConfig;
 use detector_core::pmc::PmcConfig;
-use detector_core::types::PathId;
-use detector_ingest::IngestPlane;
+use detector_core::types::NodeId;
 use detector_simnet::{BurstLossReports, Fabric, LossDiscipline};
-use detector_system::{Detector, PipelineConfig, Script, SharedTopology, SystemConfig};
+use detector_system::{
+    Detector, Diagnoser, PathCounters, PingerReport, PipelineConfig, Script, SharedTopology,
+    SystemConfig, Watchdog,
+};
 use detector_topology::{construct_symmetric, Fattree};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-const FOLD_THREADS: usize = 4;
-/// Windows folded per measured iteration — one per default lane, so an
-/// iteration exercises the whole epoch-swap rotation and the fixed
-/// thread-spawn cost amortizes over a realistic batch.
+/// Windows ingested and diagnosed per measured iteration.
 const FOLD_WINDOWS: u64 = 8;
 const WINDOWS_PER_ITER: u64 = 4;
 
-/// `FOLD_WINDOWS` windows of synthetic reports over the real
+/// `FOLD_WINDOWS` windows of synthetic pinger reports over the real
 /// Fattree(16) probe matrix's path-id space.
-fn burst_windows(paths: usize) -> Vec<Vec<Vec<(PathId, u64, u64)>>> {
+fn burst_windows(paths: usize) -> Vec<Vec<PingerReport>> {
     let gen = BurstLossReports {
         paths: paths as u32,
         reports_per_window: 64,
@@ -55,79 +51,75 @@ fn burst_windows(paths: usize) -> Vec<Vec<Vec<(PathId, u64, u64)>>> {
         burst_windows: 8,
         seed: 0x16E57,
     };
-    (0..FOLD_WINDOWS).map(|w| gen.window_reports(w)).collect()
+    (0..FOLD_WINDOWS)
+        .map(|w| {
+            gen.window_reports(w)
+                .into_iter()
+                .enumerate()
+                .map(|(i, entries)| PingerReport {
+                    pinger: NodeId(i as u32),
+                    window: w,
+                    paths: entries
+                        .into_iter()
+                        .map(|(p, sent, lost)| {
+                            let c = PathCounters {
+                                sent,
+                                lost,
+                                ..PathCounters::default()
+                            };
+                            (p, c)
+                        })
+                        .collect(),
+                    ..PingerReport::default()
+                })
+                .collect()
+        })
+        .collect()
 }
 
 fn fold_throughput(c: &mut Criterion) {
     let ft = Fattree::new(16).expect("fattree");
     let matrix = construct_symmetric(&ft, &PmcConfig::new(3, 1)).expect("probe matrix");
     let windows = burst_windows(matrix.num_paths());
-    let entries: usize = windows.iter().flatten().map(Vec::len).sum();
+    let entries: usize = windows.iter().flatten().map(|r| r.paths.len()).sum();
     let expect_reports = windows[0].len() as u64;
 
     let mut g = c.benchmark_group("ingest_throughput/fattree16");
     g.sample_size(10);
 
-    let plane = IngestPlane::for_paths(matrix.num_paths());
-    g.bench_function(format!("fold_seal_st_{entries}entries"), |b| {
+    let mut diagnoser = Diagnoser::new(matrix, PllConfig::default());
+    let watchdog = Watchdog::new();
+    g.bench_function(format!("fold_seal_diagnose_st_{entries}entries"), |b| {
         let mut base = 0u64;
-        b.iter(|| {
-            for (w, reports) in windows.iter().enumerate() {
-                for r in reports {
-                    plane.fold(base + w as u64, r.iter().copied());
-                }
-            }
-            let mut total = 0;
-            for w in 0..FOLD_WINDOWS {
-                let sealed = plane.seal(base + w);
-                assert_eq!(sealed.reports, expect_reports);
-                total += sealed.observations.len();
-            }
-            base += FOLD_WINDOWS;
-            total
-        })
-    });
-
-    let plane = Arc::new(IngestPlane::for_paths(matrix.num_paths()));
-    let stripe = windows[0].len().div_ceil(FOLD_THREADS);
-    g.bench_function(
-        format!("fold_seal_mt{FOLD_THREADS}_{entries}entries"),
-        |b| {
-            let mut base = 0u64;
-            b.iter(|| {
-                // Each thread owns a report stripe across all windows — the
-                // distributed controller's shape, where a collector drains
-                // its agents' reports window after window.
-                std::thread::scope(|s| {
-                    for t in 0..FOLD_THREADS {
-                        let plane = Arc::clone(&plane);
-                        let windows = &windows;
-                        s.spawn(move || {
-                            for (w, reports) in windows.iter().enumerate() {
-                                for r in reports.iter().skip(t * stripe).take(stripe) {
-                                    plane.fold(base + w as u64, r.iter().copied());
-                                }
-                            }
-                        });
-                    }
-                });
-                let mut total = 0;
-                for w in 0..FOLD_WINDOWS {
-                    let sealed = plane.seal(base + w);
-                    assert_eq!(sealed.reports, expect_reports);
-                    total += sealed.observations.len();
-                }
+        b.iter_batched(
+            || {
+                let batch = windows.clone();
                 base += FOLD_WINDOWS;
+                (base, batch)
+            },
+            |(base, batch)| {
+                let mut total = 0;
+                for (w, reports) in (base..).zip(batch) {
+                    for mut r in reports {
+                        r.window = w;
+                        diagnoser.ingest(r);
+                    }
+                    let ev = diagnoser.diagnose(w, &watchdog);
+                    assert_eq!(ev.reports, expect_reports);
+                    total += ev.num_observations;
+                }
+                diagnoser.prune_before(base);
                 total
-            })
-        },
-    );
+            },
+            BatchSize::LargeInput,
+        )
+    });
     g.finish();
 }
 
 /// The scheduler guard: identical setup to `scheduler_throughput`'s
-/// `fattree16_cpu/pipelined` arm, re-measured with the ingest plane in
-/// the window loop.
+/// `fattree16_cpu/pipelined` arm, re-measured with the diagnoser in the
+/// window loop.
 fn windows_guard(c: &mut Criterion) {
     let ft = Arc::new(Fattree::new(16).expect("fattree"));
     let mut fabric = Fabric::new(ft.as_ref(), 7);

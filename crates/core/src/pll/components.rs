@@ -1,508 +1,12 @@
-//! Component-decomposed parallel PLL: Observation 1 of §4.3 applied to
-//! the localization stage (§5).
-//!
-//! The path/link incidence graph of one observed window splits into
-//! connected components; losses in one component can only be explained by
-//! that component's links, so the greedy cover decomposes into
-//! independent per-component covers that run in parallel on a
-//! [`JobPool`]. [`ComponentPll`] caches the skeleton (link→paths index,
-//! component partition) per plan epoch exactly like
-//! [`IncrementalPll`](super::IncrementalPll) — reused while the observed
-//! path-id set is stable, patched per window for flipped lossy flags,
-//! fully rebuilt on [`invalidate`](ComponentPll::invalidate) (new probe
-//! matrix: plan epoch change, cycle refresh) — so steady-state windows
-//! pay only the per-component greedy.
-//!
-//! # Why the merged cover equals the global greedy
-//!
-//! Component subproblems are *independent*: a link's hit ratio is a
-//! per-window constant (explanation never rewrites observations), and a
-//! pick in one component cannot change scores in another (they share no
-//! observed paths). Within one component the global greedy's picks form a
-//! strictly decreasing sequence of selection keys
-//! `(consistent, explained_losses, hit_ratio, smaller-link-wins)` — each
-//! pick only lowers the remaining candidates' scores — and the key is
-//! recorded verbatim on every [`SuspectLink`]. The global greedy is
-//! therefore exactly the descending merge of the per-component pick
-//! sequences, and since keys are globally unique (the link id
-//! participates), merging reduces to sorting the concatenated suspects by
-//! key. The same holds for unexplained paths: each lossy observation
-//! belongs to exactly one component (or to none, when its path id does
-//! not resolve in the matrix — then nothing can ever explain it), so the
-//! global unexplained list is the index-ordered union of the
-//! per-component leftovers and those stray observations. The result is
-//! bit-identical to [`localize`](super::localize) — property-tested in
-//! this module and end-to-end (results + full ordered event streams) in
-//! `tests/scheduler_equivalence.rs` and `tests/distributed_equivalence.rs`.
+//! Connected components of one window's lossy-path/link incidence: the
+//! number of independent localization subproblems a window holds (§4.3's
+//! Observation 1 applied to §5), reported per window in `DiagStats`.
 
-use std::collections::HashSet;
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
 
-use super::pll_impl::{greedy_scoped, Diagnosis, GreedyOutcome, ObservedMatrix, SuspectLink};
 use super::{preprocess, PllConfig};
-use crate::pmc::{JobPool, ProbeMatrix};
-use crate::types::{LinkId, PathId, PathObservation};
-
-/// Immutable per-window solve state shared by that window's
-/// [`ComponentJob`]s.
-#[derive(Debug)]
-struct Snapshot {
-    obs: Vec<PathObservation>,
-    link_paths: Vec<Vec<u32>>,
-    lossy_count: Vec<u32>,
-    cfg: PllConfig,
-}
-
-/// One component's greedy cover as a self-contained, sendable work item:
-/// run it on any thread (a [`JobPool`] worker, a scheduler's probe
-/// worker, inline) and hand the [`ComponentVerdict`] back to
-/// [`ComponentPll::complete`]. Jobs of one window share their snapshot.
-#[derive(Clone, Debug)]
-pub struct ComponentJob {
-    shared: Arc<Snapshot>,
-    /// The component's link indices, ascending.
-    links: Vec<u32>,
-    /// The component's observation indices, ascending.
-    scope: Vec<u32>,
-}
-
-impl ComponentJob {
-    /// Runs the component's greedy cover. Pure: no shared mutable state,
-    /// any order and thread.
-    pub fn run(&self) -> ComponentVerdict {
-        let s = &self.shared;
-        // The component's candidate hit list, ascending link order — the
-        // restriction of what `localize` computes globally.
-        let hit: Vec<(LinkId, f64)> = self
-            .links
-            .iter()
-            .filter_map(|&li| {
-                let lossy = *s.lossy_count.get(li as usize)?;
-                if lossy == 0 {
-                    return None;
-                }
-                let total = s.link_paths.get(li as usize)?.len();
-                Some((LinkId(li), lossy as f64 / total as f64))
-            })
-            .collect();
-        ComponentVerdict(greedy_scoped(
-            &s.obs,
-            &s.link_paths,
-            &hit,
-            &s.cfg,
-            Some(&self.scope),
-        ))
-    }
-}
-
-/// The opaque result of one [`ComponentJob`]; collect every job's verdict
-/// and feed them (any order) to [`ComponentPll::complete`].
-#[derive(Debug)]
-pub struct ComponentVerdict(GreedyOutcome);
-
-impl ComponentVerdict {
-    /// A verdict with no suspects and no unexplained paths — the
-    /// identity of the merge. Lets executor plumbing produce a
-    /// placeholder where a job slot is structurally unreachable.
-    pub fn empty() -> Self {
-        ComponentVerdict(GreedyOutcome {
-            suspects: Vec::new(),
-            unexplained: Vec::new(),
-        })
-    }
-}
-
-/// What [`ComponentPll::prepare`] decided about the window.
-#[derive(Debug)]
-pub enum ComponentPlan {
-    /// The diagnosis is already final (cached verdict, or an all-healthy
-    /// window) — no jobs to run and no [`complete`](ComponentPll::complete)
-    /// call due.
-    Ready(Diagnosis),
-    /// Per-component jobs to execute — concurrently or not — before
-    /// handing every verdict to [`complete`](ComponentPll::complete).
-    Fanout(Vec<ComponentJob>),
-}
-
-/// Sentinel for an observation outside every component (its path id does
-/// not resolve in the matrix, or the path covers no links).
-const NO_COMP: u32 = u32::MAX;
-
-/// One connected component of the observed path/link incidence.
-#[derive(Clone, Debug)]
-struct Component {
-    /// Link indices of the component, ascending.
-    links: Vec<u32>,
-    /// Observation indices of the component, ascending.
-    obs: Vec<u32>,
-}
-
-/// Cached cross-window component-parallel PLL state. One instance per
-/// diagnoser; feed it every window in order and
-/// [`invalidate`](ComponentPll::invalidate) it on matrix changes, exactly
-/// like [`IncrementalPll`](super::IncrementalPll).
-#[derive(Debug, Default)]
-pub struct ComponentPll {
-    /// Cached skeleton is usable (set after a full rebuild, cleared by
-    /// [`invalidate`](ComponentPll::invalidate)).
-    valid: bool,
-    /// Pre-processed observation ids the skeleton was built for.
-    path_ids: Vec<PathId>,
-    /// Link → indices into the observation vector.
-    link_paths: Vec<Vec<u32>>,
-    /// Observation → indices of the links its path covers.
-    obs_links: Vec<Vec<u32>>,
-    /// Previous window's pre-processed observations.
-    obs: Vec<PathObservation>,
-    /// Previous window's per-observation lossy flags.
-    lossy: Vec<bool>,
-    /// Per-link count of lossy observed paths (hit-ratio numerators).
-    lossy_count: Vec<u32>,
-    /// The component partition, ascending by smallest link index.
-    comps: Vec<Component>,
-    /// Observation → component ordinal ([`NO_COMP`] for stray paths).
-    comp_of_obs: Vec<u32>,
-    /// Previous window's verdict (for the unchanged-window shortcut).
-    verdict: Diagnosis,
-    /// `prefer_consistent` of the window being prepared, for the merge in
-    /// [`complete`](ComponentPll::complete).
-    prefer_consistent: bool,
-    full_rebuilds: u64,
-    patched_windows: u64,
-    reused_verdicts: u64,
-}
-
-impl ComponentPll {
-    /// Fresh, empty state: the first window always rebuilds fully.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops the cached skeleton and partition. Call whenever the probe
-    /// matrix changes (plan epoch change, cycle refresh, any
-    /// topology-event driven re-plan): a `LinkUp` can merge two
-    /// components, and a stale two-component partition would silently
-    /// split the greedy.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
-
-    /// Windows that rebuilt the skeleton and partition from scratch.
-    pub fn full_rebuilds(&self) -> u64 {
-        self.full_rebuilds
-    }
-
-    /// Windows that patched the cached skeleton.
-    pub fn patched_windows(&self) -> u64 {
-        self.patched_windows
-    }
-
-    /// Windows that returned the cached verdict unchanged.
-    pub fn reused_verdicts(&self) -> u64 {
-        self.reused_verdicts
-    }
-
-    /// Components in the cached partition (0 before the first rebuild).
-    pub fn num_components(&self) -> usize {
-        self.comps.len()
-    }
-
-    /// Localizes one window by running per-component greedy covers on up
-    /// to `workers` scoped threads — clamped to the host's cores, since
-    /// the jobs are CPU-bound — and merging. Produces exactly what
-    /// [`localize`](super::localize) would for the same inputs, for any
-    /// worker count (1 runs inline on the caller's thread).
-    pub fn localize(
-        &mut self,
-        matrix: &ProbeMatrix,
-        observations: &[PathObservation],
-        cfg: &PllConfig,
-        workers: usize,
-    ) -> Diagnosis {
-        match self.prepare(matrix, observations, cfg) {
-            ComponentPlan::Ready(d) => d,
-            ComponentPlan::Fanout(jobs) => {
-                let outcomes = JobPool::clamped(workers).run_indexed(jobs.len(), |i| {
-                    jobs.get(i)
-                        .map(ComponentJob::run)
-                        .unwrap_or_else(ComponentVerdict::empty)
-                });
-                self.complete(outcomes)
-            }
-        }
-    }
-
-    /// Phase 1 of a window: preprocesses, reuses/patches/rebuilds the
-    /// cached skeleton, and either finishes outright
-    /// ([`ComponentPlan::Ready`]) or hands back the window's per-component
-    /// jobs. Executing every job (any threads, any order) and passing the
-    /// verdicts to [`complete`](ComponentPll::complete) finishes the
-    /// window; [`localize`](ComponentPll::localize) is exactly that on a
-    /// [`JobPool`]. Do not interleave another `prepare` before the
-    /// matching `complete`.
-    pub fn prepare(
-        &mut self,
-        matrix: &ProbeMatrix,
-        observations: &[PathObservation],
-        cfg: &PllConfig,
-    ) -> ComponentPlan {
-        let obs = preprocess(observations, cfg, &HashSet::new());
-        let reusable = self.valid
-            && self.link_paths.len() == matrix.num_links
-            && self.path_ids.len() == obs.len()
-            && self.path_ids.iter().zip(&obs).all(|(p, o)| *p == o.path);
-        if !reusable {
-            self.rebuild(matrix, obs, cfg);
-            self.full_rebuilds += 1;
-        } else if self.obs == obs {
-            self.reused_verdicts += 1;
-            return ComponentPlan::Ready(self.verdict.clone());
-        } else {
-            // Patch: flip the lossy counters of links on paths whose
-            // lossy flag changed since the previous window. The partition
-            // itself needs no patching — it depends only on the path-id
-            // set, which the reuse key above pinned.
-            for ((o, was), links) in obs
-                .iter()
-                .zip(self.lossy.iter_mut())
-                .zip(self.obs_links.iter())
-            {
-                let is = o.is_lossy();
-                if *was == is {
-                    continue;
-                }
-                *was = is;
-                for &li in links {
-                    if let Some(c) = self.lossy_count.get_mut(li as usize) {
-                        if is {
-                            *c += 1;
-                        } else {
-                            *c -= 1;
-                        }
-                    }
-                }
-            }
-            self.obs = obs;
-            self.patched_windows += 1;
-        }
-        self.prefer_consistent = cfg.prefer_consistent;
-
-        // Active components: at least one lossy observation. An
-        // all-healthy window short-circuits to zero jobs here — without
-        // touching the skeleton (it was patched above, never dropped).
-        let active: Vec<&Component> = self
-            .comps
-            .iter()
-            .filter(|c| {
-                c.obs
-                    .iter()
-                    .any(|&oi| self.lossy.get(oi as usize).copied().unwrap_or(false))
-            })
-            .collect();
-        if active.is_empty() {
-            let unexplained_paths = self
-                .stray()
-                .filter_map(|oi| self.obs.get(oi as usize).map(|o| o.path))
-                .collect();
-            self.verdict = Diagnosis {
-                suspects: Vec::new(),
-                unexplained_paths,
-            };
-            return ComponentPlan::Ready(self.verdict.clone());
-        }
-
-        let shared = Arc::new(Snapshot {
-            obs: self.obs.clone(),
-            link_paths: self.link_paths.clone(),
-            lossy_count: self.lossy_count.clone(),
-            cfg: *cfg,
-        });
-        ComponentPlan::Fanout(
-            active
-                .iter()
-                .map(|comp| ComponentJob {
-                    shared: Arc::clone(&shared),
-                    links: comp.links.clone(),
-                    scope: comp.obs.clone(),
-                })
-                .collect(),
-        )
-    }
-
-    /// Phase 2: merges every [`ComponentJob`]'s verdict of the preceding
-    /// [`prepare`](ComponentPll::prepare) into the window's global
-    /// diagnosis (order-insensitive — the merge sorts by the greedy's
-    /// selection key) and caches it for the identical-window shortcut.
-    pub fn complete(&mut self, outcomes: Vec<ComponentVerdict>) -> Diagnosis {
-        let mut suspects: Vec<SuspectLink> = Vec::new();
-        let mut unexplained: Vec<u32> = self.stray().collect();
-        for ComponentVerdict(out) in outcomes {
-            suspects.extend(out.suspects);
-            unexplained.extend(out.unexplained);
-        }
-        // Merge = sort by the greedy's selection key, descending. Keys
-        // strictly decrease within a component and are globally unique
-        // (the link id participates), so this reproduces the exact pick
-        // order of the global greedy (see the module docs).
-        let prefer = self.prefer_consistent;
-        suspects.sort_by(|a, b| {
-            let ca = prefer && a.hit_ratio >= 1.0 - 1e-12;
-            let cb = prefer && b.hit_ratio >= 1.0 - 1e-12;
-            cb.cmp(&ca)
-                .then_with(|| b.explained_losses.cmp(&a.explained_losses))
-                .then_with(|| b.hit_ratio.total_cmp(&a.hit_ratio))
-                .then_with(|| a.link.cmp(&b.link))
-        });
-        unexplained.sort_unstable();
-        let unexplained_paths = unexplained
-            .iter()
-            .filter_map(|&oi| self.obs.get(oi as usize).map(|o| o.path))
-            .collect();
-        self.verdict = Diagnosis {
-            suspects,
-            unexplained_paths,
-        };
-        self.verdict.clone()
-    }
-
-    /// Lossy observations outside every component: unexplainable.
-    fn stray(&self) -> impl Iterator<Item = u32> + '_ {
-        self.lossy
-            .iter()
-            .zip(&self.comp_of_obs)
-            .enumerate()
-            .filter(|(_, (&lossy, &ci))| lossy && ci == NO_COMP)
-            .map(|(oi, _)| oi as u32)
-    }
-
-    /// Rebuilds the skeleton and the component partition from scratch.
-    fn rebuild(&mut self, matrix: &ProbeMatrix, obs: Vec<PathObservation>, cfg: &PllConfig) {
-        // `obs` is already pre-processed; feeding it back through `build`
-        // is exact (noise-normalized rows stay 0).
-        let om = ObservedMatrix::build(matrix, &obs, cfg);
-
-        // Invert link→obs into obs→links (the patch path walks it, and
-        // every observation's link list is one union-find clique).
-        let mut obs_links: Vec<Vec<u32>> = vec![Vec::new(); om.obs.len()];
-        for (li, paths) in om.link_paths.iter().enumerate() {
-            for &oi in paths {
-                if let Some(ls) = obs_links.get_mut(oi as usize) {
-                    ls.push(li as u32);
-                }
-            }
-        }
-
-        // Union-find over link indices; the smaller index becomes the
-        // root, so a component's root is its smallest link (deterministic
-        // partition order, matching `pmc::decompose`).
-        let mut parent: Vec<u32> = (0..om.link_paths.len() as u32).collect();
-        for links in &obs_links {
-            let Some((&first, rest)) = links.split_first() else {
-                continue;
-            };
-            for &l in rest {
-                union(&mut parent, first, l);
-            }
-        }
-
-        // Dense component ordinals, ascending by root (= smallest link).
-        let mut roots: Vec<u32> = om
-            .link_paths
-            .iter()
-            .enumerate()
-            .filter(|(_, paths)| !paths.is_empty())
-            .map(|(li, _)| find(&mut parent, li as u32))
-            .collect();
-        roots.sort_unstable();
-        roots.dedup();
-        let comp_of_root = |r: u32, roots: &[u32]| -> u32 {
-            roots.binary_search(&r).map_or(NO_COMP, |i| i as u32)
-        };
-
-        let mut comps: Vec<Component> = roots
-            .iter()
-            .map(|_| Component {
-                links: Vec::new(),
-                obs: Vec::new(),
-            })
-            .collect();
-        for (li, paths) in om.link_paths.iter().enumerate() {
-            if paths.is_empty() {
-                continue;
-            }
-            let ci = comp_of_root(find(&mut parent, li as u32), &roots);
-            if let Some(c) = comps.get_mut(ci as usize) {
-                c.links.push(li as u32);
-            }
-        }
-        let mut comp_of_obs: Vec<u32> = vec![NO_COMP; om.obs.len()];
-        for (oi, links) in obs_links.iter().enumerate() {
-            let Some(&first) = links.first() else {
-                continue;
-            };
-            let ci = comp_of_root(find(&mut parent, first), &roots);
-            if let Some(slot) = comp_of_obs.get_mut(oi) {
-                *slot = ci;
-            }
-            if let Some(c) = comps.get_mut(ci as usize) {
-                c.obs.push(oi as u32);
-            }
-        }
-
-        self.path_ids = om.obs.iter().map(|o| o.path).collect();
-        self.lossy = om.obs.iter().map(|o| o.is_lossy()).collect();
-        self.lossy_count = om
-            .link_paths
-            .iter()
-            .map(|paths| {
-                paths
-                    .iter()
-                    .filter(|&&oi| om.obs.get(oi as usize).is_some_and(|o| o.is_lossy()))
-                    .count() as u32
-            })
-            .collect();
-        self.obs = om.obs;
-        self.link_paths = om.link_paths;
-        self.obs_links = obs_links;
-        self.comps = comps;
-        self.comp_of_obs = comp_of_obs;
-        self.valid = true;
-    }
-}
-
-fn find(parent: &mut [u32], x: u32) -> u32 {
-    let mut root = x;
-    while let Some(&p) = parent.get(root as usize) {
-        if p == root {
-            break;
-        }
-        root = p;
-    }
-    // Path compression.
-    let mut cur = x;
-    while cur != root {
-        let Some(slot) = parent.get_mut(cur as usize) else {
-            break;
-        };
-        let next = *slot;
-        *slot = root;
-        cur = next;
-    }
-    root
-}
-
-fn union(parent: &mut [u32], a: u32, b: u32) {
-    let ra = find(parent, a);
-    let rb = find(parent, b);
-    if ra == rb {
-        return;
-    }
-    // Deterministic: the smaller index becomes the root.
-    let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-    if let Some(slot) = parent.get_mut(hi as usize) {
-        *slot = lo;
-    }
-}
+use crate::pmc::ProbeMatrix;
+use crate::types::PathObservation;
 
 /// Cheap per-window statistics of the lossy-path/link incidence:
 /// `(lossy_paths, components)`, where `lossy_paths` counts the
@@ -515,7 +19,7 @@ fn union(parent: &mut [u32], a: u32, b: u32) {
 ///
 /// The count is a pure function of (matrix, observations, cfg), so every
 /// driver — sequential, pipelined, distributed — reports the same value
-/// for the same window regardless of the `parallel_components` knob.
+/// for the same window.
 pub fn lossy_components(
     matrix: &ProbeMatrix,
     observations: &[PathObservation],
@@ -525,8 +29,8 @@ pub fn lossy_components(
     let mut lossy_paths = 0u64;
     // Sparse union-find over link ids, smaller-root discipline (same as
     // `pmc::decompose`).
-    let mut parent: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    fn find_sparse(parent: &mut std::collections::HashMap<u32, u32>, x: u32) -> u32 {
+    let mut parent: HashMap<u32, u32> = HashMap::new();
+    fn find_sparse(parent: &mut HashMap<u32, u32>, x: u32) -> u32 {
         let mut root = x;
         while let Some(&p) = parent.get(&root) {
             if p == root {
@@ -576,10 +80,8 @@ pub fn lossy_components(
 
 #[cfg(test)]
 mod tests {
-    use super::super::localize;
     use super::*;
-    use crate::types::ProbePath;
-    use proptest::prelude::*;
+    use crate::types::{LinkId, PathId, ProbePath};
 
     /// Two disjoint 2-link islands plus a stray single-link path:
     /// p0,p1 ∈ {0,1}; p2,p3 ∈ {2,3}; p4 = {4}.
@@ -601,103 +103,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_splits_disjoint_islands() {
-        let m = matrix();
-        let mut c = ComponentPll::new();
-        let w = obs(&[
-            (0, 100, 100),
-            (1, 100, 100),
-            (2, 100, 0),
-            (3, 100, 0),
-            (4, 100, 0),
-        ]);
-        let d = c.localize(&m, &w, &PllConfig::default(), 4);
-        assert_eq!(c.num_components(), 3);
-        assert_eq!(d, localize(&m, &w, &PllConfig::default()));
-        assert_eq!(d.suspect_links(), vec![LinkId(0)]);
-    }
-
-    #[test]
-    fn multi_component_failures_merge_in_global_greedy_order() {
-        // Both islands fail: island {2,3} explains more losses, so the
-        // global greedy blames link 3 before link 0; concatenation by
-        // component id would invert them.
-        let m = matrix();
-        let cfg = PllConfig::default();
-        let w = obs(&[
-            (0, 100, 40),
-            (1, 100, 40),
-            (2, 100, 90),
-            (3, 100, 90),
-            (4, 100, 0),
-        ]);
-        let seq = localize(&m, &w, &cfg);
-        assert_eq!(
-            seq.suspects.iter().map(|s| s.link).collect::<Vec<_>>(),
-            vec![LinkId(3), LinkId(0)]
-        );
-        for workers in [1, 2, 8] {
-            let mut c = ComponentPll::new();
-            assert_eq!(c.localize(&m, &w, &cfg, workers), seq);
-        }
-    }
-
-    #[test]
-    fn all_healthy_window_short_circuits_without_invalidating() {
-        let m = matrix();
-        let cfg = PllConfig::default();
-        let mut c = ComponentPll::new();
-        let lossy = obs(&[(0, 100, 100), (1, 100, 100), (2, 100, 0)]);
-        let clean = obs(&[(0, 100, 0), (1, 100, 0), (2, 100, 0)]);
-        c.localize(&m, &lossy, &cfg, 4);
-        let d = c.localize(&m, &clean, &cfg, 4);
-        assert!(d.is_clean());
-        assert_eq!(d, localize(&m, &clean, &cfg));
-        // The clean window patched the cached skeleton, it did not
-        // rebuild it.
-        assert_eq!(c.full_rebuilds(), 1);
-        assert_eq!(c.patched_windows(), 1);
-    }
-
-    #[test]
-    fn unresolvable_lossy_paths_stay_unexplained() {
-        let m = matrix();
-        let cfg = PllConfig::default();
-        let mut c = ComponentPll::new();
-        let w = obs(&[(0, 100, 100), (1, 100, 100), (99, 100, 100)]);
-        let d = c.localize(&m, &w, &cfg, 4);
-        assert_eq!(d, localize(&m, &w, &cfg));
-        assert_eq!(d.unexplained_paths, vec![PathId(99)]);
-    }
-
-    #[test]
-    fn invalidate_forces_a_rebuild_with_the_new_partition() {
-        // The same observations against a matrix where a new path
-        // bridges the two islands: after invalidate the partition must
-        // merge to a single component.
-        let cfg = PllConfig::default();
-        let mut c = ComponentPll::new();
-        let w = obs(&[(0, 100, 100), (1, 100, 100), (2, 100, 0), (3, 100, 0)]);
-        c.localize(&matrix(), &w, &cfg, 4);
-        assert_eq!(c.num_components(), 2);
-
-        let bridged = ProbeMatrix::from_paths(
-            5,
-            vec![
-                ProbePath::from_links(0, vec![LinkId(0), LinkId(1)]),
-                ProbePath::from_links(1, vec![LinkId(0), LinkId(2)]),
-                ProbePath::from_links(2, vec![LinkId(2), LinkId(3)]),
-                ProbePath::from_links(3, vec![LinkId(3)]),
-            ],
-        );
-        c.invalidate();
-        let d = c.localize(&bridged, &w, &cfg, 4);
-        assert_eq!(c.num_components(), 1);
-        assert_eq!(c.full_rebuilds(), 2);
-        assert_eq!(d, localize(&bridged, &w, &cfg));
-    }
-
-    #[test]
     fn lossy_components_counts_the_incidence() {
         let m = matrix();
         let cfg = PllConfig::default();
@@ -707,50 +112,5 @@ mod tests {
         assert_eq!(lossy_components(&m, &both, &cfg), (3, 3));
         let stray = obs(&[(99, 100, 40)]);
         assert_eq!(lossy_components(&m, &stray, &cfg), (1, 0));
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Random 12-link topologies under multi-window biased-random
-        /// loss: parallel-component localization matches the sequential
-        /// oracle for every worker count, in both greedy orders, with
-        /// skeleton reuse across the windows of one run.
-        #[test]
-        fn matches_localize_across_windows_and_workers(
-            paths in proptest::collection::vec(proptest::collection::vec(0u32..12, 1..4), 4..12),
-            windows in proptest::collection::vec(proptest::collection::vec(0u64..3, 4..12), 1..5),
-            workers in 1usize..5,
-            consistent in 0u32..2,
-        ) {
-            let probe_paths: Vec<ProbePath> = paths
-                .iter()
-                .enumerate()
-                .map(|(i, ls)| {
-                    let mut ls: Vec<LinkId> = ls.iter().map(|&l| LinkId(l)).collect();
-                    ls.sort_unstable();
-                    ls.dedup();
-                    ProbePath::from_links(i as u32, ls)
-                })
-                .collect();
-            let m = ProbeMatrix::from_paths(12, probe_paths);
-            let cfg = if consistent == 1 {
-                PllConfig::default().consistency_first()
-            } else {
-                PllConfig::default()
-            };
-            let mut c = ComponentPll::new();
-            for w in &windows {
-                let window: Vec<PathObservation> = w
-                    .iter()
-                    .take(paths.len())
-                    .enumerate()
-                    .map(|(i, &sev)| PathObservation::new(PathId(i as u32), 100, sev * 40))
-                    .collect();
-                let par = c.localize(&m, &window, &cfg, workers);
-                let seq = localize(&m, &window, &cfg);
-                prop_assert_eq!(par, seq);
-            }
-        }
     }
 }

@@ -22,10 +22,11 @@
 //! whenever a new probe matrix is installed — plan epoch changes and
 //! cycle refreshes).
 //!
-//! Equivalence with full PLL is by construction — the candidate order,
-//! hit ratios and greedy are the same computations over the same data —
-//! and is property-tested under loss × churn × cycle refresh in
-//! `tests/scheduler_equivalence.rs` and `tests/distributed_equivalence.rs`.
+//! It is the diagnoser's only localizer; plain [`localize`](super::localize)
+//! stays the oracle. Equivalence is by construction — the candidate
+//! order, hit ratios and greedy are the same computations over the same
+//! data — and is property-tested here over random matrices and in
+//! `tests/diagnoser_properties.rs` over real controller re-plans.
 
 use std::collections::HashSet;
 
@@ -185,6 +186,7 @@ mod tests {
     use super::*;
     use crate::pll::localize;
     use crate::types::ProbePath;
+    use proptest::prelude::*;
 
     /// p0={0,1}, p1={0,2}, p2={2,3}, p3={3}, p4={1}.
     fn matrix() -> ProbeMatrix {
@@ -323,5 +325,73 @@ mod tests {
         assert_eq!(inc.localize(&m, &w1, &cfg), localize(&m, &w1, &cfg));
         assert_eq!(inc.localize(&m, &w2, &cfg), localize(&m, &w2, &cfg));
         assert_eq!(inc.patched_windows(), 1);
+    }
+
+    #[test]
+    fn unresolvable_lossy_paths_stay_unexplained() {
+        let m = matrix();
+        let cfg = PllConfig::default();
+        let mut inc = IncrementalPll::new();
+        let w = obs(&[(0, 100, 100), (1, 100, 100), (99, 100, 100)]);
+        let d = inc.localize(&m, &w, &cfg);
+        assert_eq!(d, localize(&m, &w, &cfg));
+        assert_eq!(d.unexplained_paths, vec![PathId(99)]);
+    }
+
+    #[test]
+    fn all_healthy_window_patches_without_rebuilding() {
+        let m = matrix();
+        let cfg = PllConfig::default();
+        let mut inc = IncrementalPll::new();
+        let lossy = obs(&[(0, 100, 100), (1, 100, 100), (2, 100, 0)]);
+        let clean = obs(&[(0, 100, 0), (1, 100, 0), (2, 100, 0)]);
+        inc.localize(&m, &lossy, &cfg);
+        let d = inc.localize(&m, &clean, &cfg);
+        assert!(d.is_clean());
+        assert_eq!(d, localize(&m, &clean, &cfg));
+        assert_eq!(inc.full_rebuilds(), 1);
+        assert_eq!(inc.patched_windows(), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random 12-link matrices under multi-window biased-random
+        /// loss, in both greedy orders: every window equals `localize`,
+        /// with the skeleton reused across the windows of one run (the
+        /// observed id set changes only when a window is shorter).
+        #[test]
+        fn matches_localize_across_random_windows(
+            paths in proptest::collection::vec(proptest::collection::vec(0u32..12, 1..4), 4..12),
+            windows in proptest::collection::vec(proptest::collection::vec(0u64..3, 4..12), 1..6),
+            consistent in 0u32..2,
+        ) {
+            let probe_paths: Vec<ProbePath> = paths
+                .iter()
+                .enumerate()
+                .map(|(i, ls)| {
+                    let mut ls: Vec<LinkId> = ls.iter().map(|&l| LinkId(l)).collect();
+                    ls.sort_unstable();
+                    ls.dedup();
+                    ProbePath::from_links(i as u32, ls)
+                })
+                .collect();
+            let m = ProbeMatrix::from_paths(12, probe_paths);
+            let cfg = if consistent == 1 {
+                PllConfig::default().consistency_first()
+            } else {
+                PllConfig::default()
+            };
+            let mut inc = IncrementalPll::new();
+            for w in &windows {
+                let window: Vec<PathObservation> = w
+                    .iter()
+                    .take(paths.len())
+                    .enumerate()
+                    .map(|(i, &sev)| PathObservation::new(PathId(i as u32), 100, sev * 40))
+                    .collect();
+                prop_assert_eq!(inc.localize(&m, &window, &cfg), localize(&m, &window, &cfg));
+            }
+        }
     }
 }

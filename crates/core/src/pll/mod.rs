@@ -11,7 +11,7 @@
 //! the greedy cover, which classic tomography (Tomo) lacks.
 
 mod classify;
-pub mod components;
+mod components;
 mod incremental;
 mod localizer;
 mod metrics;
@@ -23,9 +23,7 @@ mod score_alg;
 mod tomo;
 
 pub use classify::{classify_loss, ClassifyConfig, FlowSample, LossClassification, LossType};
-pub use components::{
-    lossy_components, ComponentJob, ComponentPlan, ComponentPll, ComponentVerdict,
-};
+pub use components::lossy_components;
 pub use incremental::IncrementalPll;
 pub use localizer::{Localizer, OmpLocalizer, PllLocalizer, ScoreLocalizer, TomoLocalizer};
 pub use metrics::{evaluate_diagnosis, LocalizationMetrics};
@@ -58,13 +56,6 @@ pub struct PllConfig {
     /// noiseless (evaluated by the Table 4 sweep in
     /// `tests/accuracy_table4.rs` before being adopted as a default).
     pub prefer_consistent: bool,
-    /// Run localization through [`IncrementalPll`]: cache the
-    /// link-paths skeleton across windows and re-score only the links
-    /// whose paths flipped between lossy and clean, falling back to a
-    /// full rebuild on plan epoch changes, cycle refreshes, or any
-    /// change to the observed path-id set. Produces exactly the same
-    /// diagnosis as the full run (property-tested); off by default.
-    pub incremental: bool,
 }
 
 impl Default for PllConfig {
@@ -74,7 +65,6 @@ impl Default for PllConfig {
             loss_ratio_filter: 1e-3,
             min_loss_count: 1,
             prefer_consistent: false,
-            incremental: false,
         }
     }
 }
@@ -90,13 +80,6 @@ impl PllConfig {
     /// [`PllConfig::prefer_consistent`]).
     pub fn consistency_first(mut self) -> Self {
         self.prefer_consistent = true;
-        self
-    }
-
-    /// Enables incremental cross-window localization (see
-    /// [`PllConfig::incremental`]).
-    pub fn incremental(mut self) -> Self {
-        self.incremental = true;
         self
     }
 }

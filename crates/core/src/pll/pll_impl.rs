@@ -212,58 +212,8 @@ pub(super) fn greedy(
     hit: &[(LinkId, f64)],
     cfg: &PllConfig,
 ) -> Diagnosis {
-    let outcome = greedy_scoped(obs, link_paths, hit, cfg, None);
-    let unexplained_paths = outcome
-        .unexplained
-        .iter()
-        .map(|&oi| obs[oi as usize].path)
-        .collect();
-    Diagnosis {
-        suspects: outcome.suspects,
-        unexplained_paths,
-    }
-}
-
-/// The output of one (possibly component-scoped) greedy run: the suspects
-/// in selection order plus the *indices* (into `obs`) of the lossy
-/// observations no suspect explained, ascending.
-#[derive(Debug)]
-pub(super) struct GreedyOutcome {
-    pub suspects: Vec<SuspectLink>,
-    pub unexplained: Vec<u32>,
-}
-
-/// [`greedy`] restricted to a scope of observation indices. With
-/// `scope = None` every observation participates (the classic global run);
-/// with `Some(indices)` only those observations seed the unexplained set
-/// and the remaining-loss budget, which is exactly the greedy of the
-/// subproblem induced by one connected component of the path/link
-/// incidence (see [`components`](super::components)) — provided `hit`
-/// lists only that component's candidate links.
-pub(super) fn greedy_scoped(
-    obs: &[PathObservation],
-    link_paths: &[Vec<u32>],
-    hit: &[(LinkId, f64)],
-    cfg: &PllConfig,
-    scope: Option<&[u32]>,
-) -> GreedyOutcome {
-    let mut unexplained: Vec<bool> = vec![false; obs.len()];
-    let mut remaining: u64 = 0;
-    match scope {
-        None => {
-            for (oi, o) in obs.iter().enumerate() {
-                unexplained[oi] = o.is_lossy();
-                remaining += o.lost;
-            }
-        }
-        Some(indices) => {
-            for &oi in indices {
-                let o = &obs[oi as usize];
-                unexplained[oi as usize] = o.is_lossy();
-                remaining += o.lost;
-            }
-        }
-    }
+    let mut unexplained: Vec<bool> = obs.iter().map(PathObservation::is_lossy).collect();
+    let mut remaining: u64 = obs.iter().map(|o| o.lost).sum();
     let mut suspects = Vec::new();
 
     while remaining > 0 {
@@ -322,12 +272,15 @@ pub(super) fn greedy_scoped(
         });
     }
 
-    let unexplained_indices = (0..obs.len() as u32)
-        .filter(|&oi| unexplained[oi as usize])
+    let unexplained_paths = obs
+        .iter()
+        .zip(&unexplained)
+        .filter(|(_, &u)| u)
+        .map(|(o, _)| o.path)
         .collect();
-    GreedyOutcome {
+    Diagnosis {
         suspects,
-        unexplained: unexplained_indices,
+        unexplained_paths,
     }
 }
 

@@ -68,16 +68,6 @@ impl JobPool {
         )
     }
 
-    /// A pool of at most `workers` threads, further clamped to the
-    /// host's available parallelism. For CPU-bound jobs, spawning more
-    /// workers than cores only adds scheduling overhead; deterministic
-    /// jobs make every pool size observably identical
-    /// ([`run_indexed`](Self::run_indexed)), so the clamp never changes
-    /// a result — only wall clock.
-    pub fn clamped(workers: usize) -> Self {
-        Self::new(workers.min(Self::host().workers()))
-    }
-
     /// The pool implied by a [`PmcConfig`]: its explicit
     /// [`workers`](PmcConfig::workers) bound, or host parallelism.
     pub fn from_config(cfg: &PmcConfig) -> Self {
@@ -213,11 +203,6 @@ mod tests {
     fn pool_sizes_clamp_and_configs_resolve() {
         assert_eq!(JobPool::new(0).workers(), 1);
         assert!(JobPool::host().workers() >= 1);
-        assert_eq!(JobPool::clamped(0).workers(), 1);
-        assert_eq!(
-            JobPool::clamped(usize::MAX).workers(),
-            JobPool::host().workers()
-        );
         let bounded = PmcConfig {
             workers: Some(3),
             ..PmcConfig::default()

@@ -1,35 +1,18 @@
 //! # detector-ingest
 //!
-//! The streaming ingest plane: per-path `(sent, lost)` counters
-//! aggregate into striped, cache-padded atomic shards as pinger reports
-//! arrive, so a window's observation set exists the moment its last
-//! report lands — no per-window `Vec<PingerReport>` assembly between
-//! collection and diagnosis.
+//! The report fold: every pinger report's per-path `(sent, lost)`
+//! counters are added into a dense per-window vector, one slot per
+//! probe-matrix row ([`ProbeMatrix::row_of`]), the moment the report
+//! arrives. Sealing a window yields its sorted observation set — exactly
+//! what aggregating the raw reports path by path gives, including ids
+//! the matrix does not resolve, which an exact side list keeps.
 //!
-//! Three pieces:
+//! The runtime seam is `detector-system`'s `Diagnoser`, which owns one
+//! [`WindowFold`] and feeds every driver — sequential `step()`,
+//! `run_pipelined` and `run_distributed` — through it.
 //!
-//! * [`IngestPlane`] — the sharded counter store with per-window lanes:
-//!   diagnosis [`seal`](IngestPlane::seal)s a frozen, sorted snapshot of
-//!   window `w` (bit-identical to what `ReportStore::window_observations`
-//!   would aggregate from the same reports) while the next window keeps
-//!   accumulating in its own lane; [`retract`](IngestPlane::retract)
-//!   forfeits a crashed agent's partial window exactly.
-//! * [`SpaceSaving`] — top-K heavy-hitter tracking of the lossiest paths
-//!   with the classic space-saving guarantee: any path whose true loss
-//!   weight exceeds the k-th tracked count is tracked.
-//! * [`prefilter`] — reduces a sealed window to the observations that
-//!   can influence PLL's verdict (lossy paths plus all paths sharing a
-//!   link with one), provably without changing the diagnosis.
-//!
-//! The runtime seam is `detector-system`'s `Diagnoser`, which owns a
-//! plane and feeds every driver — sequential `step()`, `run_pipelined`
-//! and `run_distributed` — through it, emitting per-window
-//! `RuntimeEvent::IngestStats`.
+//! [`ProbeMatrix::row_of`]: detector_core::pmc::ProbeMatrix::row_of
 
-mod plane;
-mod prefilter;
-mod topk;
+mod fold;
 
-pub use plane::{IngestConfig, IngestPlane, SealedWindow};
-pub use prefilter::{prefilter, Prefiltered};
-pub use topk::{SpaceSaving, TopKEntry};
+pub use fold::{SealedWindow, WindowFold};

@@ -22,8 +22,7 @@ use crate::{Check, Diagnostic, FileCtx};
 /// code (controller, planner) re-plans between windows and reports
 /// typed `PmcError`s already.
 const SCOPE: &[&str] = &[
-    "crates/core/src/pll/components.rs",
-    "crates/ingest/src/plane.rs",
+    "crates/ingest/src/fold.rs",
     "crates/system/src/scheduler.rs",
     "crates/system/src/pinger.rs",
     "crates/system/src/report.rs",

@@ -1,13 +1,12 @@
 //! Synthetic pinger-report streams with bursty loss.
 //!
-//! The streaming ingest plane is sized for *report* arrival rates, not
-//! probe rates, so its benchmarks and soak tests need a generator that
-//! produces realistic per-window `(path, sent, lost)` entry streams
-//! without simulating any packets. Loss in data centers is bursty — a
-//! failing link stays bad for minutes, not one window (§2 of the
-//! paper) — which is exactly the regime the top-K pre-filter and the
-//! incremental localizer exploit: the lossy set is small and mostly
-//! stable between windows. [`BurstLossReports`] reproduces that shape:
+//! The diagnoser's report fold is sized for *report* arrival rates, not
+//! probe rates, so its benchmarks need a generator that produces
+//! realistic per-window `(path, sent, lost)` entry streams without
+//! simulating any packets. Loss in data centers is bursty — a failing
+//! link stays bad for minutes, not one window (§2 of the paper) — which
+//! is exactly the regime the incremental localizer exploits: the lossy
+//! set is small and mostly stable between windows. [`BurstLossReports`] reproduces that shape:
 //!
 //! * a fraction of the path space is lossy at any time, in **bursts**
 //!   lasting a configurable number of windows;
@@ -52,7 +51,7 @@ impl Default for BurstLossReports {
     }
 }
 
-/// SplitMix64: the same cheap avalanche the ingest plane hashes with.
+/// SplitMix64: a cheap avalanche hash.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -71,9 +71,13 @@ pub struct RetryPolicy {
 }
 
 impl Default for RetryPolicy {
+    /// The first attempt waits §6.1's 100 ms loss threshold (the
+    /// pinger's `SystemConfig::timeout_us`): an echo inside it is not a
+    /// timeout. A shorter wait turns any host scheduling stall of the
+    /// echo path into a counted timeout plus a retransmission.
     fn default() -> Self {
         Self {
-            attempt_timeout_us: 20_000,
+            attempt_timeout_us: 100_000,
             retries: 2,
             backoff_mult: 4,
             max_timeout_us: 100_000,
@@ -615,9 +619,14 @@ mod tests {
     fn retry_policy_backs_off_and_caps() {
         let p = RetryPolicy::default();
         assert_eq!(p.attempts(), 3);
-        assert_eq!(p.timeout_us(0), 20_000);
-        assert_eq!(p.timeout_us(1), 80_000);
-        assert_eq!(p.timeout_us(2), 100_000, "capped at max_timeout_us");
+        assert_eq!(p.timeout_us(0), 100_000, "§6.1's loss threshold");
+        let backoff = RetryPolicy {
+            attempt_timeout_us: 20_000,
+            ..p
+        };
+        assert_eq!(backoff.timeout_us(0), 20_000);
+        assert_eq!(backoff.timeout_us(1), 80_000);
+        assert_eq!(backoff.timeout_us(2), 100_000, "capped at max_timeout_us");
         let flat = RetryPolicy {
             attempt_timeout_us: 5_000,
             retries: 1,

@@ -1,64 +1,25 @@
-//! The diagnoser: streaming report aggregation and PLL every window
-//! (§3.1, §6.1).
+//! The diagnoser: report aggregation and PLL every window (§3.1, §6.1).
 //!
-//! Reports feed two stores as they arrive:
-//!
-//! * the sharded [`IngestPlane`] aggregates per-path `(sent, lost)`
-//!   counters lock-free — at diagnosis time the window is *sealed* into
-//!   a frozen, sorted snapshot, so PLL's input exists without any
-//!   per-window `Vec<PingerReport>` re-aggregation;
-//! * the [`ReportStore`] keeps the raw reports for the consumers that
-//!   need per-pinger or per-flow attribution (loss classification,
-//!   watchdog exclusions applied after ingestion).
-//!
-//! Diagnosis runs over the sealed snapshot, pre-filtered to the paths
-//! that can influence the verdict (the top-K heavy-hitter pre-filter) —
-//! or, with [`PllConfig::incremental`], through the cached-skeleton
-//! incremental localizer. Both are exactly equivalent to full PLL over
-//! the unfiltered window.
+//! Each report is folded into the window's dense per-path `(sent, lost)`
+//! vector ([`WindowFold`]) the moment it is ingested, and its raw form is
+//! filed in the [`ReportStore`] for the consumers that need per-pinger or
+//! per-flow attribution (loss classification, the
+//! [`observations`](Diagnoser::observations) oracle view). Diagnosis
+//! seals the window and runs [`IncrementalPll`] over it — exactly
+//! [`localize`](detector_core::pll::localize) over the same observations,
+//! re-scoring only what changed since the previous window.
 
 use detector_core::pll::{
-    classify_loss, localize, lossy_components, ClassifyConfig, ComponentJob, ComponentPlan,
-    ComponentPll, ComponentVerdict, Diagnosis, FlowSample, IncrementalPll, LossClassification,
-    PllConfig,
+    classify_loss, lossy_components, ClassifyConfig, Diagnosis, FlowSample, IncrementalPll,
+    LossClassification, PllConfig,
 };
-use detector_core::pmc::{JobPool, ProbeMatrix};
+use detector_core::pmc::ProbeMatrix;
 use detector_core::types::{LinkId, PathObservation};
-use detector_ingest::{prefilter, IngestPlane};
-use serde::{Deserialize, Serialize};
+use detector_ingest::WindowFold;
 
+use crate::events::RuntimeEvent;
 use crate::report::{PingerReport, ReportStore};
 use crate::watchdog::Watchdog;
-
-/// Configuration of the diagnosis stage itself (as opposed to the PLL
-/// algorithm it runs, [`PllConfig`]).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct DiagConfig {
-    /// Worker threads for component-parallel PLL. `1` (the default)
-    /// localizes sequentially; `> 1` partitions each window's lossy
-    /// observations into connected components of the path/link incidence
-    /// and solves them concurrently on a scoped pool, merging suspects
-    /// back into the exact sequential order ([`ComponentPll`]). Results
-    /// and the event stream are bit-identical either way — the knob
-    /// trades threads for multi-failure diagnosis latency.
-    pub parallel_components: usize,
-}
-
-impl Default for DiagConfig {
-    fn default() -> Self {
-        Self {
-            parallel_components: 1,
-        }
-    }
-}
-
-impl DiagConfig {
-    /// Overrides the component-parallel worker count.
-    pub fn with_parallel_components(mut self, workers: usize) -> Self {
-        self.parallel_components = workers.max(1);
-        self
-    }
-}
 
 /// One diagnosis produced at the end of a window.
 #[derive(Clone, Debug)]
@@ -69,98 +30,56 @@ pub struct DiagnosisEvent {
     pub num_observations: usize,
     /// The PLL output.
     pub diagnosis: Diagnosis,
-    /// Reports folded into the window (exclusions subtracted).
+    /// Reports folded into the window.
     pub reports: u64,
-    /// Lossy paths confirmed through the unsaturated top-K tracker
-    /// (zero on saturation fallback) — see
-    /// [`RuntimeEvent::IngestStats`](crate::RuntimeEvent::IngestStats).
-    pub topk_hits: u64,
-    /// Shard key-claim CAS retries while the window accumulated.
-    pub shard_contention: u64,
-    /// Retractions the ingest plane could not absorb (see
-    /// [`RuntimeEvent::IngestStats`](crate::RuntimeEvent::IngestStats)).
-    pub retract_mismatch: u64,
-    /// Observed paths with losses above the noise filters — computed on
-    /// the post-exclusion window, so identical across drivers.
+    /// Observed paths with losses above the noise filters.
     pub lossy_paths: u64,
-    /// Connected components of the lossy path/link incidence: the
-    /// fan-out width component-parallel PLL would use this window.
+    /// Connected components of the lossy path/link incidence.
     pub components: u64,
 }
 
-/// The in-flight state of a window whose diagnosis fanned out into
-/// [`ComponentJob`]s: everything of the eventual [`DiagnosisEvent`]
-/// except the verdict itself. Opaque; hand it back to
-/// [`Diagnoser::diagnose_complete`] with the jobs' verdicts.
-#[derive(Clone, Debug)]
-pub struct PendingDiagnosis {
-    window: u64,
-    num_observations: usize,
-    reports: u64,
-    topk_hits: u64,
-    shard_contention: u64,
-    retract_mismatch: u64,
-    lossy_paths: u64,
-    components: u64,
-}
-
-impl PendingDiagnosis {
-    fn finish(self, diagnosis: Diagnosis) -> DiagnosisEvent {
-        DiagnosisEvent {
-            window: self.window,
-            num_observations: self.num_observations,
-            diagnosis,
-            reports: self.reports,
-            topk_hits: self.topk_hits,
-            shard_contention: self.shard_contention,
-            retract_mismatch: self.retract_mismatch,
-            lossy_paths: self.lossy_paths,
-            components: self.components,
-        }
+impl DiagnosisEvent {
+    /// The window's `IngestStats` and `DiagStats` events, in emission
+    /// order.
+    pub fn stats_events(&self) -> [RuntimeEvent; 2] {
+        [
+            RuntimeEvent::IngestStats {
+                window: self.window,
+                reports: self.reports,
+                paths_active: self.num_observations as u64,
+                topk_hits: 0,
+                shard_contention: 0,
+                retract_mismatch: 0,
+            },
+            RuntimeEvent::DiagStats {
+                window: self.window,
+                lossy_paths: self.lossy_paths,
+                components: self.components,
+                suspects: self.diagnosis.suspects.len() as u64,
+            },
+        ]
     }
-}
-
-/// What [`Diagnoser::diagnose_prepare`] decided about the window.
-#[derive(Debug)]
-pub enum DiagStep {
-    /// The window's diagnosis is final — no fan-out happened.
-    Done(DiagnosisEvent),
-    /// Component-parallel fan-out: execute every job (any threads, any
-    /// order) and pass the verdicts to
-    /// [`Diagnoser::diagnose_complete`] with the pending state.
-    Fanout(PendingDiagnosis, Vec<ComponentJob>),
 }
 
 /// The diagnoser service.
 pub struct Diagnoser {
     matrix: ProbeMatrix,
     pll: PllConfig,
-    diag: DiagConfig,
     store: ReportStore,
-    plane: IngestPlane,
-    incremental: IncrementalPll,
-    parallel: ComponentPll,
+    fold: WindowFold,
+    localizer: IncrementalPll,
 }
 
 impl Diagnoser {
     /// A diagnoser for the given probe matrix.
     pub fn new(matrix: ProbeMatrix, pll: PllConfig) -> Self {
-        let plane = IngestPlane::for_paths(matrix.num_paths());
         Self {
             matrix,
             pll,
-            diag: DiagConfig::default(),
             store: ReportStore::new(),
-            plane,
-            incremental: IncrementalPll::new(),
-            parallel: ComponentPll::new(),
+            fold: WindowFold::new(),
+            localizer: IncrementalPll::new(),
         }
-    }
-
-    /// Sets the diagnosis-stage configuration (builder style).
-    pub fn with_diag(mut self, diag: DiagConfig) -> Self {
-        self.diag = diag;
-        self
     }
 
     /// The probe matrix in force.
@@ -169,186 +88,55 @@ impl Diagnoser {
     }
 
     /// Replaces the probe matrix (new controller cycle or plan epoch).
-    /// Invalidates the incremental-PLL skeleton — path ids may be reused
-    /// with different link sets — and re-sizes the ingest plane when the
-    /// plan outgrew it. Callers install matrices between windows, after
-    /// the previous window was sealed, so no folded counters are in
-    /// flight here.
+    /// Re-indexes any open window's counters onto the new rows and
+    /// invalidates the localizer's skeleton — path ids may be reused
+    /// with different link sets.
     pub fn set_matrix(&mut self, matrix: ProbeMatrix) {
-        let cfg = self.plane.config();
-        if 2 * matrix.num_paths() > cfg.shards * cfg.slots_per_shard {
-            self.plane = IngestPlane::for_paths(matrix.num_paths());
-        }
-        self.incremental.invalidate();
-        self.parallel.invalidate();
+        self.fold.relayout(&self.matrix, &matrix);
+        self.localizer.invalidate();
         self.matrix = matrix;
     }
 
     /// Ingests a pinger report (the HTTP POST of §6.1): folds its path
-    /// counters into the ingest plane and files the raw report.
-    pub fn ingest(&self, report: PingerReport) {
-        self.fold(&report);
-        self.ingest_stored(report);
-    }
-
-    /// Folds a report's path counters into the ingest plane only — the
-    /// distributed controller feeds `Report` frames to the shards the
-    /// moment they arrive, before the window's collection completes.
-    pub fn fold(&self, report: &PingerReport) {
-        self.plane.fold(
+    /// counters into the window and files the raw report. Drivers ingest
+    /// only reports of pingers the watchdog considers healthy.
+    pub fn ingest(&mut self, report: PingerReport) {
+        self.fold.fold(
+            &self.matrix,
             report.window,
             report.paths.iter().map(|(p, c)| (*p, c.sent, c.lost)),
         );
-    }
-
-    /// Undoes a previous [`fold`](Diagnoser::fold): a crashed agent
-    /// forfeits everything it sent in the unfinished window.
-    pub fn retract(&self, report: &PingerReport) {
-        self.plane.retract(
-            report.window,
-            report.paths.iter().map(|(p, c)| (*p, c.sent, c.lost)),
-        );
-    }
-
-    /// Files a raw report without folding it (the counterpart of
-    /// [`fold`](Diagnoser::fold) for reports already in the plane).
-    pub fn ingest_stored(&self, report: PingerReport) {
         self.store.ingest(report);
     }
 
     /// Aggregated observations of a window from the raw report store,
-    /// excluding watchdog-flagged pingers. The diagnosis path reads the
-    /// sealed ingest plane instead; this remains the attribution-aware
-    /// view (and the oracle the plane is tested against).
+    /// excluding watchdog-flagged pingers — the attribution-aware view,
+    /// and the oracle the diagnosis input is tested against.
     pub fn observations(&self, window: u64, watchdog: &Watchdog) -> Vec<PathObservation> {
         self.store
             .window_observations(window, &|p| !watchdog.is_healthy(p))
     }
 
-    /// Seals the window's ingest-plane snapshot and runs PLL over it.
-    ///
-    /// Watchdog exclusions are applied by subtracting the excluded
-    /// pingers' stored contributions from the snapshot (the plane folds
-    /// reports as they arrive, before health verdicts settle). The
-    /// result is exactly `localize` over
-    /// [`observations`](Diagnoser::observations) — including under
-    /// component-parallel fan-out (`DiagConfig::parallel_components > 1`),
-    /// which runs the per-component jobs on an internal [`JobPool`].
+    /// Seals the window and runs PLL over it: exactly `localize` over
+    /// [`observations`](Diagnoser::observations).
     pub fn diagnose(&mut self, window: u64, watchdog: &Watchdog) -> DiagnosisEvent {
-        match self.diagnose_prepare(window, watchdog) {
-            DiagStep::Done(ev) => ev,
-            DiagStep::Fanout(pending, jobs) => {
-                let verdicts =
-                    JobPool::clamped(self.diag.parallel_components).run_indexed(jobs.len(), |i| {
-                        jobs.get(i)
-                            .map(ComponentJob::run)
-                            .unwrap_or_else(ComponentVerdict::empty)
-                    });
-                self.diagnose_complete(pending, verdicts)
-            }
-        }
-    }
-
-    /// Phase 1 of a window's diagnosis: seals the snapshot, applies
-    /// exclusions, and either finishes outright ([`DiagStep::Done`] — the
-    /// sequential localizer branches, a cached verdict, or an all-healthy
-    /// window) or hands back the window's per-component PLL jobs for the
-    /// caller to execute on threads of its choosing (the pipelined
-    /// scheduler ships them to its probe workers). Every job's verdict
-    /// must then go to [`diagnose_complete`](Diagnoser::diagnose_complete).
-    pub fn diagnose_prepare(&mut self, window: u64, watchdog: &Watchdog) -> DiagStep {
-        let sealed = self.plane.seal(window);
-        let mut obs = sealed.observations;
-        let mut reports = sealed.reports;
-        let (excluded, excluded_reports) = self
-            .store
-            .excluded_path_totals(window, &|p| !watchdog.is_healthy(p));
-        if excluded_reports > 0 {
-            reports = reports.saturating_sub(excluded_reports);
-            obs.retain_mut(|o| {
-                let Some(&(sent, lost)) = excluded.get(&o.path) else {
-                    return true;
-                };
-                // Real reports never carry lost > sent, so the sealed
-                // counters are un-clamped sums and subtract exactly.
-                o.sent -= sent.min(o.sent);
-                o.lost -= lost.min(o.lost);
-                o.sent > 0 || o.lost > 0
-            });
-        }
-
-        let num_observations = obs.len();
-        // The shape of the window's diagnosis work, for `DiagStats`: a
-        // pure function of the post-exclusion observations, so every
-        // driver reports the same numbers regardless of which localizer
-        // branch runs below.
+        debug_assert!(
+            !self
+                .store
+                .has_report_from(window, &|p| !watchdog.is_healthy(p)),
+            "window {window} holds a report from a pinger the watchdog flags"
+        );
+        let sealed = self.fold.seal(&self.matrix, window);
+        let obs = sealed.observations;
         let (lossy_paths, components) = lossy_components(&self.matrix, &obs, &self.pll);
-        let k = self.plane.config().topk;
-        let workers = self.diag.parallel_components;
-        let pending = PendingDiagnosis {
+        DiagnosisEvent {
             window,
-            num_observations,
-            reports,
-            topk_hits: 0,
-            shard_contention: sealed.shard_contention,
-            retract_mismatch: sealed.retract_mismatch,
+            num_observations: obs.len(),
+            diagnosis: self.localizer.localize(&self.matrix, &obs, &self.pll),
+            reports: sealed.reports,
             lossy_paths,
             components,
-        };
-        if self.pll.incremental {
-            // The incremental localizers key their skeleton on the whole
-            // observed id set, so they consume the unfiltered snapshot;
-            // the tracker statistic is computed the same way the
-            // pre-filter would.
-            let distinct_lossy = obs.iter().filter(|o| o.is_lossy()).count() as u64;
-            let hits = if distinct_lossy > k as u64 {
-                0
-            } else {
-                distinct_lossy
-            };
-            let pending = PendingDiagnosis {
-                topk_hits: hits,
-                ..pending
-            };
-            if workers > 1 {
-                match self.parallel.prepare(&self.matrix, &obs, &self.pll) {
-                    ComponentPlan::Ready(d) => DiagStep::Done(pending.finish(d)),
-                    ComponentPlan::Fanout(jobs) => DiagStep::Fanout(pending, jobs),
-                }
-            } else {
-                let d = self.incremental.localize(&self.matrix, &obs, &self.pll);
-                DiagStep::Done(pending.finish(d))
-            }
-        } else {
-            let f = prefilter(&self.matrix, &obs, k);
-            let pending = PendingDiagnosis {
-                topk_hits: f.topk_hits,
-                ..pending
-            };
-            if workers > 1 {
-                match self
-                    .parallel
-                    .prepare(&self.matrix, &f.observations, &self.pll)
-                {
-                    ComponentPlan::Ready(d) => DiagStep::Done(pending.finish(d)),
-                    ComponentPlan::Fanout(jobs) => DiagStep::Fanout(pending, jobs),
-                }
-            } else {
-                let d = localize(&self.matrix, &f.observations, &self.pll);
-                DiagStep::Done(pending.finish(d))
-            }
         }
-    }
-
-    /// Phase 2 of [`diagnose_prepare`](Diagnoser::diagnose_prepare):
-    /// merges the fan-out's [`ComponentVerdict`]s (any order) into the
-    /// window's final event.
-    pub fn diagnose_complete(
-        &mut self,
-        pending: PendingDiagnosis,
-        verdicts: Vec<ComponentVerdict>,
-    ) -> DiagnosisEvent {
-        pending.finish(self.parallel.complete(verdicts))
     }
 
     /// Prunes stored reports older than `keep_from`.
@@ -389,6 +177,7 @@ impl Diagnoser {
 mod tests {
     use super::*;
     use crate::report::PathCounters;
+    use detector_core::pll::localize;
     use detector_core::types::{LinkId, NodeId, PathId, ProbePath};
 
     fn matrix() -> ProbeMatrix {
@@ -430,21 +219,33 @@ mod tests {
         let ev = d.diagnose(0, &Watchdog::new());
         assert_eq!(ev.num_observations, 3);
         assert_eq!(ev.reports, 2);
-        assert_eq!(ev.topk_hits, 2);
+        assert_eq!(ev.lossy_paths, 2);
         assert_eq!(ev.diagnosis.suspect_links(), vec![LinkId(0)]);
     }
 
     #[test]
     fn flagged_pingers_are_excluded() {
+        // Pinger 9 is sick and reports everything lost; the oracle view
+        // drops its report once the watchdog flags it.
         let mut d = Diagnoser::new(matrix(), PllConfig::default());
-        // Pinger 9 is sick and reports everything lost.
         d.ingest(report(1, 0, &[(0, 50, 0), (1, 50, 0), (2, 50, 0)]));
         d.ingest(report(9, 0, &[(0, 50, 50), (1, 50, 50), (2, 50, 50)]));
         let mut w = Watchdog::new();
         w.mark_unhealthy(NodeId(9));
-        let ev = d.diagnose(0, &w);
-        assert_eq!(ev.reports, 1);
-        assert!(ev.diagnosis.is_clean());
+        let obs = d.observations(0, &w);
+        assert!(obs.iter().all(|o| o.sent == 50 && o.lost == 0));
+        assert!(localize(d.matrix(), &obs, &PllConfig::default()).is_clean());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "watchdog flags")]
+    fn diagnosing_a_flagged_pingers_report_is_a_driver_bug() {
+        let mut d = Diagnoser::new(matrix(), PllConfig::default());
+        d.ingest(report(9, 0, &[(0, 50, 50)]));
+        let mut w = Watchdog::new();
+        w.mark_unhealthy(NodeId(9));
+        d.diagnose(0, &w);
     }
 
     #[test]
@@ -460,13 +261,12 @@ mod tests {
     fn sealed_snapshot_matches_the_store_aggregation() {
         let mut d = Diagnoser::new(matrix(), PllConfig::default());
         d.ingest(report(1, 0, &[(0, 50, 25), (1, 40, 0)]));
-        d.ingest(report(2, 0, &[(0, 10, 1), (2, 30, 30)]));
-        d.ingest(report(9, 0, &[(0, 7, 7), (2, 7, 7)]));
-        let mut w = Watchdog::new();
-        w.mark_unhealthy(NodeId(9));
+        d.ingest(report(2, 0, &[(0, 10, 1), (2, 30, 30), (7, 5, 5)]));
+        let w = Watchdog::new();
         let oracle = d.observations(0, &w);
         let ev = d.diagnose(0, &w);
         assert_eq!(ev.num_observations, oracle.len());
+        assert_eq!(ev.reports, 2);
         assert_eq!(
             ev.diagnosis,
             localize(d.matrix(), &oracle, &PllConfig::default())
@@ -474,31 +274,16 @@ mod tests {
     }
 
     #[test]
-    fn retract_forfeits_a_folded_report() {
-        let d = Diagnoser::new(matrix(), PllConfig::default());
-        let r = report(1, 0, &[(0, 50, 50), (1, 50, 50)]);
-        d.fold(&r);
-        d.retract(&r);
-        let mut d = d;
-        let ev = d.diagnose(0, &Watchdog::new());
-        assert_eq!(ev.num_observations, 0);
-        assert_eq!(ev.reports, 0);
-        assert!(ev.diagnosis.is_clean());
-    }
-
-    #[test]
     fn incremental_mode_matches_full_diagnosis() {
-        let mut full = Diagnoser::new(matrix(), PllConfig::default());
-        let mut inc = Diagnoser::new(matrix(), PllConfig::default().incremental());
-        for w in 0..4u64 {
-            let lost = if w % 2 == 0 { 25 } else { 0 };
-            for d in [&full, &inc] {
-                d.ingest(report(1, w, &[(0, 50, lost), (1, 50, lost), (2, 50, 0)]));
-            }
-            let a = full.diagnose(w, &Watchdog::new());
-            let b = inc.diagnose(w, &Watchdog::new());
-            assert_eq!(a.diagnosis, b.diagnosis, "window {w}");
-            assert_eq!(a.topk_hits, b.topk_hits, "window {w}");
+        // Lossy and clean windows alternate over one matrix: every
+        // patched verdict equals a from-scratch `localize`.
+        let mut d = Diagnoser::new(matrix(), PllConfig::default());
+        let w = Watchdog::new();
+        for win in 0..4u64 {
+            let lost = if win % 2 == 0 { 25 } else { 0 };
+            d.ingest(report(1, win, &[(0, 50, lost), (1, 50, lost), (2, 50, 0)]));
+            let oracle = localize(d.matrix(), &d.observations(win, &w), &PllConfig::default());
+            assert_eq!(d.diagnose(win, &w).diagnosis, oracle, "window {win}");
         }
     }
 }

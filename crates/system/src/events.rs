@@ -100,41 +100,32 @@ pub enum RuntimeEvent {
         /// Matrix paths the report carries counters for.
         num_paths: usize,
     },
-    /// The ingest plane sealed the window: per-path counters were
-    /// aggregated in the sharded plane as the reports arrived, and
-    /// diagnosis read the frozen snapshot. Emitted after the last
+    /// The diagnoser sealed the window: per-path counters were folded
+    /// into the window's dense vector as the reports arrived, and
+    /// diagnosis read the sealed observations. Emitted after the last
     /// report/health event of the window, before
     /// [`DiagnosisReady`](RuntimeEvent::DiagnosisReady).
     IngestStats {
         /// Window index.
         window: u64,
-        /// Pinger reports folded into the window (a crashed agent's
-        /// retracted reports excluded).
+        /// Pinger reports folded into the window.
         reports: u64,
-        /// Distinct paths with observations after health exclusions —
-        /// equals the window's `num_observations`.
+        /// Distinct paths with observations — equals the window's
+        /// `num_observations`.
         paths_active: u64,
-        /// Lossy paths served by the unsaturated top-K tracker; zero
-        /// when the tracker saturated (more distinct lossy paths than
-        /// its capacity) and the pre-filter fell back to a full scan.
+        /// Retired (the top-K pre-filter is gone): always 0.
         topk_hits: u64,
-        /// Key-claim CAS retries in the shards while the window
-        /// accumulated. Depends on the execution schedule (always zero
-        /// under single-threaded folding), so
-        /// [`normalized`](RuntimeEvent::normalized) zeroes it.
+        /// Retired (the sharded ingest plane is gone): always 0.
         shard_contention: u64,
-        /// Retractions the ingest plane could not absorb this window —
-        /// `detector_ingest::SealedWindow::retract_mismatch`. Non-zero
-        /// means a duplicate crash notification or a retract racing a
-        /// seal; always zero in a healthy run.
+        /// Retired (reports are no longer retracted): always 0.
         retract_mismatch: u64,
     },
     /// Shape of the diagnosis work for the window: how many lossy paths
     /// survived ingestion and how many connected components of the
-    /// lossy-path/link incidence they split into — the fan-out width of
-    /// component-parallel PLL (`DiagConfig::parallel_components`).
-    /// Deterministic (a pure function of the sealed window and the probe
-    /// plan), so equivalence harnesses compare it un-normalized. Emitted
+    /// lossy-path/link incidence they split into (independent
+    /// localization subproblems). Deterministic (a pure function of the
+    /// sealed window and the probe plan), so equivalence harnesses
+    /// compare it un-normalized. Emitted
     /// after [`IngestStats`](RuntimeEvent::IngestStats), before
     /// [`DiagnosisReady`](RuntimeEvent::DiagnosisReady).
     DiagStats {
@@ -272,33 +263,13 @@ impl ToJson for RuntimeEvent {
 
 impl RuntimeEvent {
     /// This event with its execution-dependent fields zeroed
-    /// (`PlanUpdated::replan_micros` and
-    /// `IngestStats::shard_contention`) — the canonical form for
+    /// (`PlanUpdated::replan_micros`) — the canonical form for
     /// comparing event streams across executions, as the
     /// sequential-vs-pipelined equivalence harnesses do. If a future
     /// variant grows another timing field, zero it here and every
     /// harness stays correct.
     pub fn normalized(&self) -> RuntimeEvent {
         match self {
-            RuntimeEvent::IngestStats {
-                window,
-                reports,
-                paths_active,
-                topk_hits,
-                retract_mismatch,
-                ..
-            } => RuntimeEvent::IngestStats {
-                window: *window,
-                reports: *reports,
-                paths_active: *paths_active,
-                topk_hits: *topk_hits,
-                // CAS retries depend on thread interleaving, never on
-                // what was ingested.
-                shard_contention: 0,
-                // Retract accounting is deterministic — the harnesses
-                // compare it un-normalized.
-                retract_mismatch: *retract_mismatch,
-            },
             RuntimeEvent::PlanUpdated {
                 epoch,
                 links_changed,

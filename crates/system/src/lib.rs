@@ -84,7 +84,7 @@ pub use dataplane::udp::{
     HarnessStats, LossShim, RetryPolicy, UdpConfig, UdpDataPlane, UdpHarness, UdpStats,
 };
 pub use dataplane::{DataPlane, ProbeOutcome, ProbeTag};
-pub use diagnoser::{DiagConfig, DiagStep, Diagnoser, DiagnosisEvent, PendingDiagnosis};
+pub use diagnoser::{Diagnoser, DiagnosisEvent};
 pub use dispatch::{DeploymentDiff, DispatchStats, ListUpdate};
 pub use events::{CollectingSink, EventSink, JsonLinesSink, RuntimeEvent, WindowResult};
 pub use pinger::{batch_seed, Pinger, PingerBatch, PingerCostModel};
@@ -133,10 +133,6 @@ pub struct SystemConfig {
     pub pmc: PmcConfig,
     /// Loss-localization settings.
     pub pll: PllConfig,
-    /// Diagnosis-stage settings (component-parallel PLL fan-out); see
-    /// [`DiagConfig`]. Orthogonal to `pll`: the algorithm is configured
-    /// there, how the stage executes it here.
-    pub diag: DiagConfig,
     /// Headroom policy for the probe plan's per-cell `PathId` ranges:
     /// how much id slack each plan cell reserves so churn re-solves stay
     /// inside their range (no re-dispatch of other cells' pinglists).
@@ -179,7 +175,6 @@ impl Default for SystemConfig {
                 min_loss_count: 2,
                 ..PllConfig::default()
             },
-            diag: DiagConfig::default(),
             id_headroom: IdHeadroom::default(),
             cell_affinity: false,
         }
@@ -204,13 +199,6 @@ impl SystemConfig {
     /// `pingers_per_tor > 2`.
     pub fn with_cell_affinity(mut self, on: bool) -> Self {
         self.cell_affinity = on;
-        self
-    }
-
-    /// Sets the component-parallel diagnosis worker count (see
-    /// [`DiagConfig::parallel_components`]).
-    pub fn with_parallel_diagnosis(mut self, workers: usize) -> Self {
-        self.diag = self.diag.with_parallel_components(workers);
         self
     }
 

@@ -138,32 +138,13 @@ impl ReportStore {
         out
     }
 
-    /// Per-path `(sent, lost)` totals of the window's *excluded* reports
-    /// plus how many reports were excluded — what the diagnoser
-    /// subtracts from an ingest-plane snapshot (which aggregated every
-    /// folded report) to apply watchdog exclusions at diagnosis time.
-    pub fn excluded_path_totals(
-        &self,
-        window: u64,
-        excluded: &dyn Fn(NodeId) -> bool,
-    ) -> (HashMap<PathId, (u64, u64)>, u64) {
-        let inner = self.inner.read();
-        let mut agg: HashMap<PathId, (u64, u64)> = HashMap::new();
-        let mut reports = 0u64;
-        if let Some(rs) = inner.get(&window) {
-            for r in rs {
-                if !excluded(r.pinger) {
-                    continue;
-                }
-                reports += 1;
-                for (pid, c) in &r.paths {
-                    let e = agg.entry(*pid).or_insert((0, 0));
-                    e.0 += c.sent;
-                    e.1 += c.lost;
-                }
-            }
-        }
-        (agg, reports)
+    /// True when some report of `window` comes from a pinger `pred`
+    /// selects.
+    pub fn has_report_from(&self, window: u64, pred: &dyn Fn(NodeId) -> bool) -> bool {
+        self.inner
+            .read()
+            .get(&window)
+            .is_some_and(|rs| rs.iter().any(|r| pred(r.pinger)))
     }
 
     /// Aggregates the per-flow counters of a window over paths selected

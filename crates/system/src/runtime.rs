@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use detector_core::pll::LossClassification;
 use detector_core::pmc::{PmcError, ProbeMatrix};
-use detector_core::types::{LinkId, NodeId};
+use detector_core::types::{LinkId, NodeId, PathObservation};
 use detector_topology::{Dcn, DcnTopology, TopologyEvent, TopologyView};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -114,8 +114,7 @@ impl DetectorBuilder {
         }
         let watchdog = Watchdog::new();
         let deployment = controller.build_deployment(watchdog.unhealthy_set())?;
-        let diagnoser =
-            Diagnoser::new(deployment.matrix.clone(), self.cfg.pll).with_diag(self.cfg.diag);
+        let diagnoser = Diagnoser::new(deployment.matrix.clone(), self.cfg.pll);
         Ok(Detector {
             topo: self.topo,
             cfg: self.cfg,
@@ -315,6 +314,14 @@ impl Detector {
             .classify_suspect(window, link, &self.watchdog)
     }
 
+    /// A past window's aggregated path observations from the raw report
+    /// store, excluding watchdog-flagged pingers: plain `localize` over
+    /// them and [`matrix`](Detector::matrix) is the full-rescore oracle
+    /// for that window's diagnosis.
+    pub fn observations(&self, window: u64) -> Vec<PathObservation> {
+        self.diagnoser.observations(window, &self.watchdog)
+    }
+
     /// Runs one window against `dataplane`: every healthy pinger probes
     /// its list, reports are ingested, and the diagnoser runs PLL.
     ///
@@ -412,26 +419,9 @@ impl Detector {
         // Keep a few windows of history, as the paper's database would.
         self.diagnoser.prune_before(window.saturating_sub(20));
 
-        emit(
-            RuntimeEvent::IngestStats {
-                window,
-                reports: event.reports,
-                paths_active: event.num_observations as u64,
-                topk_hits: event.topk_hits,
-                shard_contention: event.shard_contention,
-                retract_mismatch: event.retract_mismatch,
-            },
-            &mut self.sinks,
-        );
-        emit(
-            RuntimeEvent::DiagStats {
-                window,
-                lossy_paths: event.lossy_paths,
-                components: event.components,
-                suspects: event.diagnosis.suspects.len() as u64,
-            },
-            &mut self.sinks,
-        );
+        for ev in event.stats_events() {
+            emit(ev, &mut self.sinks);
+        }
         let result = WindowResult {
             window,
             start_s,

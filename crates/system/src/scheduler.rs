@@ -76,11 +76,8 @@ use detector_topology::TopologyEvent;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use detector_core::pll::{ComponentJob, ComponentVerdict};
-
 use crate::controller::Controller;
 use crate::dataplane::DataPlane;
-use crate::diagnoser::DiagStep;
 use crate::dispatch::{rebase_pairs, DispatchStats};
 use crate::events::{RuntimeEvent, WindowResult};
 use crate::pinger::PingerBatch;
@@ -242,20 +239,6 @@ struct BatchJob {
     batch: Arc<PingerBatch>,
 }
 
-/// Work shipped to the shared worker pool. The probe stage mostly runs
-/// [`PingerBatch`]es, but when diagnosis fans out into per-component PLL
-/// jobs (`DiagConfig::parallel_components > 1`), those ride the same
-/// channel — the workers are the pipeline's only compute pool, so a
-/// multi-failure window's components overlap with younger windows'
-/// probing instead of queueing behind a dedicated thread.
-enum WorkerJob {
-    Probe(BatchJob),
-    // No window/index tag: the collector drains one fan-out completely
-    // before taking the next meta, and the verdict merge is
-    // order-insensitive, so a bare verdict is unambiguous.
-    Diag(ComponentJob),
-}
-
 /// One probe-stage completion. `report` is `None` when the batch
 /// panicked (e.g. a `DataPlane::probe` implementation blew up): the
 /// diagnosis stage turns that into a [`PipelineError::Stage`] instead of
@@ -264,13 +247,6 @@ struct BatchDone {
     window: u64,
     pinger: NodeId,
     report: Option<PingerReport>,
-}
-
-/// One worker completion; `Diag`'s payload is `None` on a panicked
-/// component job, mirroring [`BatchDone::report`].
-enum WorkerDone {
-    Batch(BatchDone),
-    Diag(Option<ComponentVerdict>),
 }
 
 /// Everything the diagnosis stage needs to finish one window, sent by
@@ -393,8 +369,8 @@ impl Detector {
         let sinks = &mut self.sinks;
         let bound = &mut self.bound;
 
-        let (job_tx, job_rx) = channel::unbounded::<WorkerJob>();
-        let (done_tx, done_rx) = channel::unbounded::<WorkerDone>();
+        let (job_tx, job_rx) = channel::unbounded::<BatchJob>();
+        let (done_tx, done_rx) = channel::unbounded::<BatchDone>();
         // The bounded meta channel is the pipeline-depth regulator: the
         // dispatcher blocks here once `depth` windows are in flight.
         let (meta_tx, meta_rx) = channel::bounded::<WindowMeta>(depth);
@@ -408,43 +384,22 @@ impl Detector {
                 let done_tx = done_tx.clone();
                 scope.spawn(move |_| {
                     while let Ok(job) = job_rx.recv() {
-                        // A panicking DataPlane (or component job) must
-                        // not strand the diagnosis stage waiting for a
-                        // completion that will never come (the other
-                        // workers would keep done_rx connected): catch
-                        // it and let the collector surface a
-                        // PipelineError::Stage instead.
-                        let (done, panicked) = match job {
-                            WorkerJob::Probe(job) => {
-                                let report =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        job.batch.run_window(
-                                            dataplane,
-                                            cfg,
-                                            job.window,
-                                            job.window_seed,
-                                        )
-                                    }))
-                                    .ok();
-                                let panicked = report.is_none();
-                                (
-                                    WorkerDone::Batch(BatchDone {
-                                        window: job.window,
-                                        pinger: job.batch.server(),
-                                        report,
-                                    }),
-                                    panicked,
-                                )
-                            }
-                            WorkerJob::Diag(job) => {
-                                let verdict =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        job.run()
-                                    }))
-                                    .ok();
-                                let panicked = verdict.is_none();
-                                (WorkerDone::Diag(verdict), panicked)
-                            }
+                        // A panicking DataPlane must not strand the
+                        // diagnosis stage waiting for a report that will
+                        // never come (the other workers would keep
+                        // done_rx connected): catch it and let the
+                        // collector surface a PipelineError::Stage
+                        // instead.
+                        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            job.batch
+                                .run_window(dataplane, cfg, job.window, job.window_seed)
+                        }))
+                        .ok();
+                        let panicked = report.is_none();
+                        let done = BatchDone {
+                            window: job.window,
+                            pinger: job.batch.server(),
+                            report,
                         };
                         if done_tx.send(done).is_err() || panicked {
                             break; // Diagnosis stage gone, or this worker is compromised.
@@ -456,15 +411,7 @@ impl Detector {
             drop(job_rx);
             drop(done_tx);
 
-            // Diagnosis stage. It holds its own sender clone so
-            // per-component PLL jobs ride the same worker pool as probe
-            // batches: when a window's diagnosis fans out, the
-            // components run on whichever workers are idle between
-            // probe batches, and the collector blocks only until the
-            // verdicts drain back through `done_rx`. The clone drops
-            // when the collector returns, so worker shutdown still
-            // follows the dispatcher dropping `job_tx`.
-            let diag_tx = job_tx.clone();
+            // Diagnosis stage.
             let collector = scope.spawn(move |_| -> Result<Vec<WindowResult>, PipelineError> {
                 let mut results = Vec::new();
                 // Reports that arrived before their window's meta.
@@ -499,33 +446,25 @@ impl Detector {
                     let expected = meta.roster.iter().filter(|(_, h)| *h).count();
                     let mut have = stash.remove(&meta.window).unwrap_or_default();
                     while have.len() < expected {
-                        match done_rx.recv() {
-                            Ok(WorkerDone::Batch(done)) => {
-                                let Some(report) = done.report else {
-                                    return Err(PipelineError::Stage(
-                                        "probe worker panicked while probing",
-                                    ));
-                                };
-                                if done.window == meta.window {
-                                    have.insert(done.pinger, report);
-                                } else {
-                                    // A younger window's report outran
-                                    // this window's stragglers.
-                                    stash
-                                        .entry(done.window)
-                                        .or_default()
-                                        .insert(done.pinger, report);
-                                }
-                            }
-                            // Unreachable: a fan-out is fully drained
-                            // below before the next meta is taken, so no
-                            // verdict can still be in flight here.
-                            Ok(WorkerDone::Diag(_)) => {}
-                            Err(_) => {
-                                return Err(PipelineError::Stage(
-                                    "probe stage disconnected mid-window",
-                                ))
-                            }
+                        let Ok(done) = done_rx.recv() else {
+                            return Err(PipelineError::Stage(
+                                "probe stage disconnected mid-window",
+                            ));
+                        };
+                        let Some(report) = done.report else {
+                            return Err(PipelineError::Stage(
+                                "probe worker panicked while probing",
+                            ));
+                        };
+                        if done.window == meta.window {
+                            have.insert(done.pinger, report);
+                        } else {
+                            // A younger window's report outran this
+                            // window's stragglers.
+                            stash
+                                .entry(done.window)
+                                .or_default()
+                                .insert(done.pinger, report);
                         }
                     }
 
@@ -554,68 +493,11 @@ impl Detector {
                         diagnoser.ingest(report);
                     }
 
-                    let event = match diagnoser.diagnose_prepare(meta.window, &meta.watchdog) {
-                        DiagStep::Done(event) => event,
-                        DiagStep::Fanout(pending, jobs) => {
-                            // Per-component jobs ride the probe-worker
-                            // channel; the merge is order-insensitive,
-                            // so verdicts are collected in arrival
-                            // order. Probe batches that land during the
-                            // wait belong to younger windows — stash
-                            // them exactly as the report loop does.
-                            let total = jobs.len();
-                            for job in jobs {
-                                if diag_tx.send(WorkerJob::Diag(job)).is_err() {
-                                    return Err(PipelineError::Stage(
-                                        "probe stage gone before diagnosis fan-out",
-                                    ));
-                                }
-                            }
-                            let mut verdicts = Vec::with_capacity(total);
-                            while verdicts.len() < total {
-                                match done_rx.recv() {
-                                    Ok(WorkerDone::Diag(Some(v))) => verdicts.push(v),
-                                    Ok(WorkerDone::Diag(None)) => {
-                                        return Err(PipelineError::Stage(
-                                            "worker panicked in a component job",
-                                        ))
-                                    }
-                                    Ok(WorkerDone::Batch(done)) => {
-                                        let Some(report) = done.report else {
-                                            return Err(PipelineError::Stage(
-                                                "probe worker panicked while probing",
-                                            ));
-                                        };
-                                        stash
-                                            .entry(done.window)
-                                            .or_default()
-                                            .insert(done.pinger, report);
-                                    }
-                                    Err(_) => {
-                                        return Err(PipelineError::Stage(
-                                            "probe stage disconnected mid-diagnosis",
-                                        ))
-                                    }
-                                }
-                            }
-                            diagnoser.diagnose_complete(pending, verdicts)
-                        }
-                    };
+                    let event = diagnoser.diagnose(meta.window, &meta.watchdog);
                     diagnoser.prune_before(meta.window.saturating_sub(20));
-                    emit(RuntimeEvent::IngestStats {
-                        window: meta.window,
-                        reports: event.reports,
-                        paths_active: event.num_observations as u64,
-                        topk_hits: event.topk_hits,
-                        shard_contention: event.shard_contention,
-                        retract_mismatch: event.retract_mismatch,
-                    });
-                    emit(RuntimeEvent::DiagStats {
-                        window: meta.window,
-                        lossy_paths: event.lossy_paths,
-                        components: event.components,
-                        suspects: event.diagnosis.suspects.len() as u64,
-                    });
+                    for ev in event.stats_events() {
+                        emit(ev);
+                    }
                     let result = WindowResult {
                         window: meta.window,
                         start_s: meta.start_s,
@@ -755,7 +637,7 @@ impl Detector {
                     break; // Diagnosis stage is gone; surface its error below.
                 }
                 for job in jobs {
-                    if job_tx.send(WorkerJob::Probe(job)).is_err() {
+                    if job_tx.send(job).is_err() {
                         break;
                     }
                 }

@@ -122,8 +122,8 @@ pub mod prelude {
     pub use detector_core::json::{Json, ToJson};
     pub use detector_core::pll::{
         evaluate_diagnosis, localize, localize_omp, localize_score, localize_tomo, Diagnosis,
-        LocalizationMetrics, Localizer, OmpLocalizer, PllConfig, PllLocalizer, ScoreLocalizer,
-        TomoLocalizer,
+        IncrementalPll, LocalizationMetrics, Localizer, OmpLocalizer, PllConfig, PllLocalizer,
+        ScoreLocalizer, TomoLocalizer,
     };
     pub use detector_core::pmc::{
         construct, max_identifiability, min_coverage, verify, PmcConfig, ProbeMatrix,
@@ -131,7 +131,7 @@ pub mod prelude {
     pub use detector_core::types::{
         LinkId, NodeId, PathId, PathIdRange, PathObservation, ProbePath,
     };
-    pub use detector_ingest::{prefilter, IngestConfig, IngestPlane, SealedWindow, SpaceSaving};
+    pub use detector_ingest::{SealedWindow, WindowFold};
     pub use detector_simnet::{
         partition_hosts, ChurnSchedule, Fabric, FailureGenerator, FailureScenario, FlowKey,
         HostGroups, LossDiscipline,

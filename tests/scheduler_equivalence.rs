@@ -32,24 +32,6 @@ fn config() -> SystemConfig {
     }
 }
 
-/// The same short-cycle config with incremental PLL switched on.
-fn incremental_config() -> SystemConfig {
-    let mut cfg = config();
-    cfg.pll = cfg.pll.incremental();
-    cfg
-}
-
-/// The short-cycle config with component-parallel diagnosis.
-fn parallel_config(workers: usize) -> SystemConfig {
-    config().with_parallel_diagnosis(workers)
-}
-
-/// Component-parallel diagnosis composed with the incremental
-/// skeleton cache.
-fn parallel_incremental_config(workers: usize) -> SystemConfig {
-    incremental_config().with_parallel_diagnosis(workers)
-}
-
 fn detector_with(ft: &Arc<Fattree>, sink: CollectingSink, cfg: SystemConfig) -> Detector {
     Detector::builder(ft.clone() as SharedTopology)
         .config(cfg)
@@ -168,11 +150,45 @@ fn check_equivalence(
     assert_eq!(seq.matrix().uncoverable, pipe.matrix().uncoverable);
 }
 
-/// Runs the same scenario full-rescore sequential (the oracle) and
-/// incremental in both drivers, asserting the patched localizer changes
-/// nothing: identical window results and identical normalized event
-/// streams (diagnoses, and the `IngestStats` top-K accounting, match
-/// mode for mode).
+/// Drives `det` one window at a time through `run_scripted` and checks
+/// every window's diagnosis against the full-rescore oracle: plain
+/// `localize` over the deployed matrix and that window's aggregated
+/// observations. Returns the window results, which equal one
+/// `run_scripted` call over the whole script.
+fn run_against_localize(
+    det: &mut Detector,
+    dataplane: &dyn DataPlane,
+    windows: u64,
+    script: &Script,
+    rng: &mut SmallRng,
+) -> Vec<WindowResult> {
+    let pll = config().pll;
+    let mut out = Vec::with_capacity(windows as usize);
+    for w in 0..windows {
+        let due = script
+            .due(w)
+            .fold(Script::new(), |s, action| s.at(0, action.clone()));
+        let result = det
+            .run_scripted(dataplane, 1, &due, rng)
+            .expect("windowed run")
+            .remove(0);
+        let observations = det.observations(result.window);
+        assert_eq!(result.num_observations, observations.len(), "window {w}");
+        assert_eq!(
+            result.diagnosis,
+            localize(det.matrix(), &observations, &pll),
+            "window {w} diverges from the full rescore"
+        );
+        out.push(result);
+    }
+    out
+}
+
+/// Runs the same scenario three ways — window by window against the
+/// `localize` oracle, as one `run_scripted` call, and pipelined — and
+/// asserts the incremental localizer's verdicts equal the full rescore
+/// in every window, with identical results and normalized event streams
+/// across the three runs.
 fn check_incremental_equivalence(
     ft: Arc<Fattree>,
     failures: &[(u16, u8, u8)],
@@ -195,134 +211,45 @@ fn check_incremental_equivalence(
             )
         });
 
-    let full_sink = CollectingSink::new();
-    let mut full = detector(&ft, full_sink.clone());
+    let oracle_sink = CollectingSink::new();
+    let mut oracle = detector(&ft, oracle_sink.clone());
     let mut rng = SmallRng::seed_from_u64(seed);
-    let full_results = full
-        .run_scripted(&fabric, windows, &script, &mut rng)
-        .expect("full-rescore oracle");
-
-    let inc_sink = CollectingSink::new();
-    let mut inc = detector_with(&ft, inc_sink.clone(), incremental_config());
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let inc_results = inc
-        .run_scripted(&fabric, windows, &script, &mut rng)
-        .expect("incremental sequential run");
-
-    let pipe_sink = CollectingSink::new();
-    let mut pipe = detector_with(&ft, pipe_sink.clone(), incremental_config());
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let pipe_results = pipe
-        .run_pipelined(&fabric, windows, &script, pipeline, &mut rng)
-        .expect("incremental pipelined run");
-
-    assert_eq!(
-        full_results, inc_results,
-        "incremental sequential diverges from the full rescore \
-         (script {raw_script:?}, failures {failures:?})"
-    );
-    assert_eq!(
-        full_results, pipe_results,
-        "incremental pipelined diverges from the full rescore \
-         (script {raw_script:?}, failures {failures:?})"
-    );
-    let oracle_events = normalize(full_sink.events());
-    assert_eq!(
-        oracle_events,
-        normalize(inc_sink.events()),
-        "incremental sequential event stream diverges"
-    );
-    assert_eq!(
-        oracle_events,
-        normalize(pipe_sink.events()),
-        "incremental pipelined event stream diverges"
-    );
-}
-
-/// Runs the same scenario with the sequential single-threaded oracle and
-/// with component-parallel diagnosis in both drivers — plus the
-/// parallel × incremental composition — asserting bit-identical window
-/// results and (normalized) event streams throughout.
-fn check_parallel_equivalence(
-    ft: Arc<Fattree>,
-    failures: &[(u16, u8, u8)],
-    raw_script: &[(u8, u8, u16)],
-    windows: u64,
-    seed: u64,
-    pipeline: &PipelineConfig,
-    workers: usize,
-) {
-    let mut fabric = Fabric::new(ft.as_ref(), seed ^ 0xFAB);
-    for &(link, kind, level) in failures {
-        let (l, d) = decode_failure(&ft, link, kind, level);
-        fabric.set_discipline_both(l, d);
-    }
-    let script = raw_script
-        .iter()
-        .fold(Script::new(), |s, &(window, kind, target)| {
-            s.at(
-                u64::from(window) % windows,
-                decode_action(&ft, kind, target),
-            )
-        });
+    let oracle_results = run_against_localize(&mut oracle, &fabric, windows, &script, &mut rng);
 
     let seq_sink = CollectingSink::new();
     let mut seq = detector(&ft, seq_sink.clone());
     let mut rng = SmallRng::seed_from_u64(seed);
     let seq_results = seq
         .run_scripted(&fabric, windows, &script, &mut rng)
-        .expect("sequential oracle");
-    let oracle_events = normalize(seq_sink.events());
-
-    let par_sink = CollectingSink::new();
-    let mut par = detector_with(&ft, par_sink.clone(), parallel_config(workers));
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let par_results = par
-        .run_scripted(&fabric, windows, &script, &mut rng)
-        .expect("parallel sequential run");
-    assert_eq!(
-        seq_results, par_results,
-        "parallel step() diverges from the sequential oracle \
-         (script {raw_script:?}, failures {failures:?}, workers {workers})"
-    );
-    assert_eq!(
-        oracle_events,
-        normalize(par_sink.events()),
-        "parallel step() event stream diverges (workers {workers})"
-    );
+        .expect("sequential run");
 
     let pipe_sink = CollectingSink::new();
-    let mut pipe = detector_with(&ft, pipe_sink.clone(), parallel_config(workers));
+    let mut pipe = detector(&ft, pipe_sink.clone());
     let mut rng = SmallRng::seed_from_u64(seed);
     let pipe_results = pipe
         .run_pipelined(&fabric, windows, &script, pipeline, &mut rng)
-        .expect("parallel pipelined run");
+        .expect("pipelined run");
+
     assert_eq!(
-        seq_results, pipe_results,
-        "parallel pipelined diverges from the sequential oracle \
-         (script {raw_script:?}, failures {failures:?}, workers {workers})"
+        oracle_results, seq_results,
+        "sequential diverges from the windowed localize oracle \
+         (script {raw_script:?}, failures {failures:?})"
+    );
+    assert_eq!(
+        oracle_results, pipe_results,
+        "pipelined diverges from the windowed localize oracle \
+         (script {raw_script:?}, failures {failures:?})"
+    );
+    let oracle_events = normalize(oracle_sink.events());
+    assert_eq!(
+        oracle_events,
+        normalize(seq_sink.events()),
+        "sequential event stream diverges"
     );
     assert_eq!(
         oracle_events,
         normalize(pipe_sink.events()),
-        "parallel pipelined event stream diverges (workers {workers})"
-    );
-
-    let both_sink = CollectingSink::new();
-    let mut both = detector_with(&ft, both_sink.clone(), parallel_incremental_config(workers));
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let both_results = both
-        .run_scripted(&fabric, windows, &script, &mut rng)
-        .expect("parallel incremental run");
-    assert_eq!(
-        seq_results, both_results,
-        "parallel × incremental diverges from the sequential oracle \
-         (script {raw_script:?}, failures {failures:?}, workers {workers})"
-    );
-    assert_eq!(
-        oracle_events,
-        normalize(both_sink.events()),
-        "parallel × incremental event stream diverges (workers {workers})"
+        "pipelined event stream diverges"
     );
 }
 
@@ -350,11 +277,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Incremental ≡ full: with `PllConfig::incremental` the patched
-    /// localizer produces exactly the full-rescore diagnosis — results
-    /// and event streams — under loss × churn × cycle refresh, in both
-    /// the sequential and pipelined drivers. Churn and the short cycle
-    /// exercise the fallback-to-rebuild paths; stable stretches
+    /// Incremental ≡ full: the incremental localizer every driver runs
+    /// produces exactly the full-rescore `localize` diagnosis in every
+    /// window, under loss × churn × cycle refresh, in both the
+    /// sequential and pipelined drivers. Churn and the short cycle
+    /// exercise the rebuild-on-new-matrix paths; stable stretches
     /// exercise the patch path.
     #[test]
     fn incremental_localization_equals_full(
@@ -366,31 +293,6 @@ proptest! {
         let ft = Arc::new(Fattree::new(4).unwrap());
         let pipeline = PipelineConfig { probe_workers: workers, depth: 2 };
         check_incremental_equivalence(ft, &failures, &raw_script, 5, seed, &pipeline);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Component-parallel ≡ sequential: with `parallel_components > 1`
-    /// the fanned-out per-component PLL produces exactly the
-    /// single-threaded diagnosis — results and event streams — in both
-    /// drivers and composed with the incremental skeleton cache, under
-    /// loss × churn × cycle refresh. Random churn splits and merges the
-    /// lossy component structure mid-run (drains and link flaps move
-    /// paths between islands); the targeted
-    /// `component_merge_and_split_stays_equivalent` below pins a
-    /// deterministic 2 → 1 → 2 transition.
-    #[test]
-    fn parallel_diagnosis_equals_sequential(
-        failures in proptest::collection::vec((0u16..64, 0u8..3, 0u8..8), 0..4),
-        raw_script in proptest::collection::vec((0u8..6, 0u8..6, 0u16..64), 0..6),
-        seed in 0u64..1_000,
-        workers in 2usize..5,
-    ) {
-        let ft = Arc::new(Fattree::new(4).unwrap());
-        let pipeline = PipelineConfig { probe_workers: 2, depth: 2 };
-        check_parallel_equivalence(ft, &failures, &raw_script, 5, seed, &pipeline, workers);
     }
 }
 
@@ -661,9 +563,8 @@ fn component_merge_and_split_stays_equivalent() {
     // window collapses to one component — and the undrain at window 3
     // brings the bridge links back up, splitting the structure into two
     // components again. Both transitions land mid-run on plan-epoch
-    // changes, so the cached per-component skeleton must rebuild (a
-    // stale partition would fan out the wrong islands and diverge from
-    // the oracle).
+    // changes, so the localizer's cached skeleton must rebuild (a stale
+    // one would score the wrong paths and diverge from the oracle).
     let ft = Arc::new(Fattree::new(4).unwrap());
     let failures: Vec<LinkId> = vec![ft.ea_link(0, 0, 0), ft.ea_link(0, 1, 1)];
     let script = Script::new()
@@ -688,29 +589,19 @@ fn component_merge_and_split_stays_equivalent() {
     let mut seq = detector(&ft, seq_sink.clone());
     let mut rng = SmallRng::seed_from_u64(7);
     let seq_results = seq.run_scripted(&fabric, 5, &script, &mut rng).unwrap();
+    // The component structure really merged and split mid-run.
+    assert_eq!(
+        diag_stats(seq_sink.events())
+            .iter()
+            .map(|&(_, _, c, _)| c)
+            .collect::<Vec<_>>(),
+        vec![2, 1, 1, 2, 2],
+        "the drain/undrain must merge then split the lossy components"
+    );
 
-    for cfg in [parallel_config(4), parallel_incremental_config(4)] {
-        let par_sink = CollectingSink::new();
-        let mut par = detector_with(&ft, par_sink.clone(), cfg);
-        let mut rng = SmallRng::seed_from_u64(7);
-        let par_results = par.run_scripted(&fabric, 5, &script, &mut rng).unwrap();
-        assert_eq!(seq_results, par_results);
-        assert_eq!(normalize(seq_sink.events()), normalize(par_sink.events()));
-        // The component structure really merged and split mid-run.
-        assert_eq!(
-            diag_stats(par_sink.events())
-                .iter()
-                .map(|&(_, _, c, _)| c)
-                .collect::<Vec<_>>(),
-            vec![2, 1, 1, 2, 2],
-            "the drain/undrain must merge then split the lossy components"
-        );
-    }
-
-    // And the pipelined driver rides the fan-out through its worker
-    // channel across the same transitions.
+    // And the pipelined driver rides the same transitions.
     let pipe_sink = CollectingSink::new();
-    let mut pipe = detector_with(&ft, pipe_sink.clone(), parallel_config(4));
+    let mut pipe = detector(&ft, pipe_sink.clone());
     let mut rng = SmallRng::seed_from_u64(7);
     let pipe_results = pipe
         .run_pipelined(&fabric, 5, &script, &PipelineConfig::default(), &mut rng)
@@ -788,13 +679,9 @@ fn udp_pipelined_equals_sequential() {
 
 #[test]
 fn all_healthy_windows_short_circuit_identically() {
-    // Zero lossy paths: every window of a quiet fabric must
-    // short-circuit to an empty component set — DiagStats reports zero
-    // components — while still emitting DiagnosisReady with empty
-    // suspects in the exact oracle position, and without invalidating
-    // the incremental skeleton (stream equality across the
-    // parallel × incremental composition would break if the clean
-    // windows forced rebuild-induced divergence).
+    // Zero lossy paths: every window of a quiet fabric reports zero
+    // lossy paths and components while still emitting DiagnosisReady
+    // with empty suspects in the exact oracle position, in both drivers.
     let ft = Arc::new(Fattree::new(4).unwrap());
     let fabric = Fabric::quiet(ft.as_ref());
 
@@ -805,35 +692,39 @@ fn all_healthy_windows_short_circuit_identically() {
         .run_scripted(&fabric, 4, &Script::new(), &mut rng)
         .unwrap();
 
-    for cfg in [parallel_config(4), parallel_incremental_config(4)] {
-        let par_sink = CollectingSink::new();
-        let mut par = detector_with(&ft, par_sink.clone(), cfg);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let par_results = par
-            .run_scripted(&fabric, 4, &Script::new(), &mut rng)
-            .unwrap();
-        assert_eq!(seq_results, par_results);
-        assert_eq!(normalize(seq_sink.events()), normalize(par_sink.events()));
-        assert_eq!(
-            diag_stats(par_sink.events()),
-            vec![(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0)],
-            "all-healthy windows must report zero lossy paths and components"
-        );
-        // Each window still reaches an (empty) diagnosis, directly
-        // after its stats events.
-        let events = par_sink.events();
-        for w in 0..4u64 {
-            let stats_at = events
-                .iter()
-                .position(|e| matches!(e, RuntimeEvent::DiagStats { window, .. } if *window == w))
-                .expect("DiagStats present");
-            match events.get(stats_at + 1) {
-                Some(RuntimeEvent::DiagnosisReady(res)) => {
-                    assert_eq!(res.window, w);
-                    assert!(res.diagnosis.is_clean(), "quiet window must diagnose clean");
-                }
-                other => panic!("DiagStats must immediately precede DiagnosisReady, got {other:?}"),
+    let pipe_sink = CollectingSink::new();
+    let mut pipe = detector(&ft, pipe_sink.clone());
+    let mut rng = SmallRng::seed_from_u64(3);
+    let pipe_results = pipe
+        .run_pipelined(
+            &fabric,
+            4,
+            &Script::new(),
+            &PipelineConfig::default(),
+            &mut rng,
+        )
+        .unwrap();
+    assert_eq!(seq_results, pipe_results);
+    assert_eq!(normalize(seq_sink.events()), normalize(pipe_sink.events()));
+    assert_eq!(
+        diag_stats(seq_sink.events()),
+        vec![(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0)],
+        "all-healthy windows must report zero lossy paths and components"
+    );
+    // Each window still reaches an (empty) diagnosis, directly after its
+    // stats events.
+    let events = seq_sink.events();
+    for w in 0..4u64 {
+        let stats_at = events
+            .iter()
+            .position(|e| matches!(e, RuntimeEvent::DiagStats { window, .. } if *window == w))
+            .expect("DiagStats present");
+        match events.get(stats_at + 1) {
+            Some(RuntimeEvent::DiagnosisReady(res)) => {
+                assert_eq!(res.window, w);
+                assert!(res.diagnosis.is_clean(), "quiet window must diagnose clean");
             }
+            other => panic!("DiagStats must immediately precede DiagnosisReady, got {other:?}"),
         }
     }
 }
